@@ -6,19 +6,24 @@ paper's Listings 2–4.  The search algorithms in ``repro.core`` are thin
 clients issuing those statements, exactly as the paper's Java client drives
 the RDB through JDBC.
 
-Two implementations are provided:
+Two engines are built in:
 
 * :class:`~repro.core.store.minidb.MiniDBGraphStore` — backed by the
   built-in relational engine (``repro.rdb``), giving full control over the
   buffer pool and index clustering (the paper's DBMS-x role).
-* :class:`~repro.core.store.sqlite.SQLiteGraphStore` — backed by SQLite with
-  literal SQL text, playing the role of the paper's "second platform"
-  (PostgreSQL), including its lack of a MERGE statement.
+* :class:`~repro.store.dbapi.DBAPIGraphStore` — the one SQL store: literal
+  SQL text over any PEP-249 connection, playing the role of the paper's
+  "second platform" (PostgreSQL), including its lack of a MERGE statement.
+  :class:`~repro.core.store.sqlite.SQLiteGraphStore` is that store over an
+  in-process ``sqlite3`` connection; ``fallback://`` and ``postgresql://``
+  DSNs are the same store over a wire.
 
 Stores register themselves in the backend registry
 (:mod:`repro.core.store.registry`) when imported; importing this package is
-what populates the default ``minidb`` and ``sqlite`` entries — and, via
-:mod:`repro.store`, the client-server ``dbapi`` / ``postgres`` ones.
+what populates the default ``minidb`` and ``sqlite`` entries — and, because
+the SQLite binding imports :mod:`repro.store`, the ``dbapi`` / ``postgres``
+ones.  The dependency runs one way: ``repro.store`` builds on the base
+interfaces and the registry here and never imports the bindings back.
 Additional engines plug in via :func:`register_backend` without any
 service-layer changes.
 """
@@ -34,10 +39,6 @@ from repro.core.store.registry import (
 )
 from repro.core.store.minidb import MiniDBGraphStore
 from repro.core.store.sqlite import SQLiteGraphStore
-
-# Registered last: the client-server family builds on the base interfaces
-# above (the submodule import by full name is safe mid-package-init).
-import repro.store  # noqa: E402,F401
 
 __all__ = [
     "GraphStore",

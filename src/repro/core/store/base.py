@@ -173,10 +173,10 @@ class GraphStore(ABC):
 
     def persistent_segtable_lthd(self) -> Optional[float]:
         """The ``lthd`` the persisted SegTable was built with, when the
-        backend records it durably next to the tables (the DB-API store
+        backend records it durably next to the tables (the SQL store
         keeps a small metadata relation for exactly this), else ``None``.
         A catalog warm start prefers the manifest's value; this exists so
-        a server-side database can be adopted even *without* a catalog
+        a populated database can be adopted even *without* a catalog
         entry (``PathService.open(backend=..., dsn=...)``)."""
         return None
 
@@ -239,11 +239,11 @@ class GraphStore(ABC):
         """Drop this store's durable data (where any exists) and close it.
 
         Calibration probes and test fixtures call this instead of
-        :meth:`close` so a shared *server* database is left clean — the
-        DB-API store drops its (prefix-namespaced) graph tables.  For
-        embedded stores the default — plain :meth:`close` — already
-        discards everything that should be discarded; a ``db_path``-backed
-        SQLite file is deliberately NOT deleted.
+        :meth:`close` so a shared database is left clean — the SQL store
+        drops its (prefix-namespaced) graph tables; a ``db_path``-backed
+        SQLite file is emptied the same way but deliberately NOT deleted.
+        The default — plain :meth:`close` — is right for engines whose
+        data dies with the handle.
         """
         self.close()
 

@@ -2,8 +2,9 @@
 
 The registry replaces the historical hard-coded ``BACKENDS`` tuple.  Each
 store module registers a factory for itself when it is imported (the entry
-points live at the bottom of :mod:`repro.core.store.minidb` and
-:mod:`repro.core.store.sqlite`), and external code can plug in additional
+points live at the bottom of :mod:`repro.core.store.minidb`,
+:mod:`repro.core.store.sqlite` and :mod:`repro.store.dbapi`), and
+external code can plug in additional
 engines without touching the service layer::
 
     from repro.service import register_backend

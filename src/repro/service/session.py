@@ -277,7 +277,8 @@ class PathService:
                 entries are skipped and the rest of the catalog loads.
             backend: backend for ``dsn`` adoption (default ``"dbapi"``).
             dsn: connection string of an already-populated server
-                database to adopt (mutually exclusive with
+                database to adopt — or, with ``backend="sqlite"``, the
+                path of a database file (mutually exclusive with
                 ``catalog_path``).
             graph_name: name the ``dsn``-adopted graph is hosted under.
             concurrency: store-pool capacity for the adopted graph.
@@ -453,10 +454,11 @@ class PathService:
     def adopt_graph(self, name: str = DEFAULT_GRAPH, *, dsn: str,
                     backend: str = "dbapi", concurrency: int = 1,
                     buffer_capacity: int = 256) -> str:
-        """Host an already-populated server database directly, no catalog.
+        """Host an already-populated database directly, no catalog.
 
         The catalog-less sibling of :meth:`attach_graph` for DSN-backed
-        backends: the store is opened over ``dsn``, its persisted graph
+        backends (and SQLite files, whose ``dsn`` is the file path): the
+        store is opened over ``dsn``, its persisted graph
         tables are read back (a ``SELECT`` scan — no bulk load), and a
         persisted SegTable is adopted using the ``lthd`` the store
         recorded durably next to its tables

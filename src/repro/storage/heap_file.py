@@ -1,7 +1,7 @@
 """Heap file: an unordered collection of records spread over slotted pages.
 
-A heap file owns a list of page ids.  Inserts go to the last page with room
-(falling back to a fresh page), deletes tombstone the slot, and scans walk
+A heap file owns a list of page ids.  Inserts fill the pages in allocation
+order (falling back to a fresh page), deletes tombstone the slot, and scans walk
 the pages in allocation order through the buffer pool — so every access is
 counted against the pool and the disk manager, which is what the paper's
 I/O-centric experiments measure.
@@ -23,23 +23,27 @@ class HeapFile:
         self.pool = pool
         self.name = name
         self.page_ids: List[int] = []
+        # Index of the page inserts go to: earlier pages are full, later
+        # ones (only ever present after a truncate) are empty.
+        self._fill = 0
         self._record_count = 0
 
     # -- mutation -----------------------------------------------------------------
 
     def insert(self, record: bytes) -> RecordId:
         """Insert ``record`` and return its :class:`RecordId`."""
-        if self.page_ids:
-            last_page_id = self.page_ids[-1]
-            page = self.pool.fetch_page(last_page_id)
+        while self._fill < len(self.page_ids):
+            page_id = self.page_ids[self._fill]
+            page = self.pool.fetch_page(page_id)
             try:
                 slot = page.insert(record)
             except PageFullError:
-                self.pool.unpin(last_page_id, dirty=False)
+                self.pool.unpin(page_id, dirty=False)
+                self._fill += 1
             else:
-                self.pool.unpin(last_page_id, dirty=True)
+                self.pool.unpin(page_id, dirty=True)
                 self._record_count += 1
-                return RecordId(last_page_id, slot)
+                return RecordId(page_id, slot)
         page = self.pool.new_page()
         self.page_ids.append(page.page_id)
         try:
@@ -103,7 +107,8 @@ class HeapFile:
         return len(self.page_ids)
 
     def truncate(self) -> None:
-        """Delete every record (pages are kept and reused)."""
+        """Delete every record; the pages are kept, and the next inserts
+        refill them from the first."""
         for page_id in self.page_ids:
             page = self.pool.fetch_page(page_id)
             try:
@@ -112,4 +117,5 @@ class HeapFile:
                 page.compact()
             finally:
                 self.pool.unpin(page_id, dirty=True)
+        self._fill = 0
         self._record_count = 0

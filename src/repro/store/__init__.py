@@ -1,4 +1,4 @@
-"""Client-server store backends (the DB-API family).
+"""The SQL graph store and its wire drivers (the DB-API family).
 
 Importing this package registers two backends with the store registry:
 
@@ -9,9 +9,9 @@ Importing this package registers two backends with the store registry:
   (:mod:`repro.store.postgres`; registration succeeds even without
   psycopg installed — connecting is what needs the driver).
 
-:mod:`repro.core.store` imports this package at the end of its own
-initialisation, so the backends are available wherever the embedded
-ones are.
+The embedded ``sqlite`` backend (:mod:`repro.core.store.sqlite`) is the
+same store over an in-process driver; it imports this package, so these
+backends are available wherever the embedded ones are.
 """
 
 from repro.store import postgres  # noqa: F401  (registers postgresql://)

@@ -1,24 +1,25 @@
-"""Client-server graph store over any PEP-249 (DB-API) connection.
+"""The SQL graph store: Listings 2-4 over any PEP-249 (DB-API) connection.
 
 This is the paper's actual deployment story: the FEM operators running as
-plain SQL inside an *unmodified commercial RDBMS* reached over a network
-connection.  The embedded stores (:mod:`repro.core.store.sqlite`,
-``minidb``) prove the algorithms; this store proves the architecture —
-one generic implementation addressed by connection string::
+plain SQL inside an *unmodified RDBMS*.  The statement texts are written
+once, here, and run on whichever engine a *driver* connects to::
 
     service.add_graph("social", graph, backend="dbapi",
                       db_path="postgresql://repro@db.example.com/graphs")
     service.add_graph("roads", graph, backend="dbapi",
                       db_path="fallback://127.0.0.1:5433/")
+    service.add_graph("local", graph, backend="sqlite", db_path="local.db")
 
-The scheme picks a *wire driver*: ``postgresql://`` (and ``postgres://``)
-dials PostgreSQL through ``psycopg`` (see :mod:`repro.store.postgres`),
-``fallback://`` dials the pure-stdlib socket server of
-:mod:`repro.store.fallback_server` so tests and CI exercise the full
-client-server path with zero third-party dependencies.  Everything above
-the driver — statement texts, capability surface, error mapping — is
-shared, so conformance results against the fallback server transfer
-directly to a real PostgreSQL.
+A DSN's scheme picks a *wire driver*: ``postgresql://`` (and
+``postgres://``) dials PostgreSQL through ``psycopg`` (see
+:mod:`repro.store.postgres`), ``fallback://`` dials the pure-stdlib
+socket server of :mod:`repro.store.fallback_server` so tests and CI
+exercise the full client-server path with zero third-party dependencies.
+``backend="sqlite"`` is this same store over the in-process ``sqlite3``
+driver of :mod:`repro.core.store.sqlite` — no wire, no DSN, no table
+prefix.  Everything above the driver — statement texts, capability
+surface, error mapping — is shared, so conformance results on one
+engine transfer directly to the others.
 
 Capability surface, implemented natively rather than inherited:
 
@@ -34,9 +35,8 @@ Capability surface, implemented natively rather than inherited:
   durable metadata relation recording the SegTable's ``lthd``) makes
   catalog warm starts — and even catalog-*less* adoption of a populated
   server database — rebuild nothing.
-* Relocation (:meth:`export_database`) snapshots the server-side tables
-  into a local SQLite file in the canonical schema, so an exported
-  database opens under ``backend="sqlite"`` unchanged.
+* Relocation (:meth:`export_database`) snapshots the tables into a
+  local SQLite file that opens under ``backend="sqlite"`` unchanged.
 * Driver errors map onto :mod:`repro.errors`:
   :class:`~repro.errors.BackendConnectionError` (a
   :class:`~repro.errors.ShardUnavailableError`, so router failover and
@@ -44,31 +44,36 @@ Capability surface, implemented natively rather than inherited:
   dead shard) vs :class:`~repro.errors.BackendOperationalError` (the
   statement's fault; never retried).
 
-Every graph store of this backend namespaces its shared relations with
-the DSN's ``table_prefix`` (default ``repro_``), so several stores — and
+Every DSN-addressed store namespaces its shared relations with the
+DSN's ``table_prefix`` (default ``repro_``), so several stores — and
 every calibration probe, via :meth:`calibration_path` — can share one
 server database without touching each other.
 """
 
 from __future__ import annotations
 
-import sqlite3
 import uuid
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple)
 from urllib.parse import parse_qs, urlencode, urlsplit, urlunsplit
 
-from repro.core.directions import Direction, INFINITY
+from repro.core.directions import (
+    BACKWARD_DIRECTION,
+    Direction,
+    FORWARD_DIRECTION,
+    INFINITY,
+)
 from repro.core.sqlstyle import NSQL, validate_sql_style
 from repro.core.stats import OPERATOR_E, OPERATOR_F, OPERATOR_M
 from repro.core.store.base import GraphStore, IndexMode
-from repro.core.store.registry import is_dsn, register_backend
+from repro.core.store.registry import create_store, is_dsn, register_backend
 from repro.errors import (
     BackendConnectionError,
     BackendOperationalError,
     InvalidDSNError,
     InvalidQueryError,
     PersistenceUnsupportedError,
+    StoreCloneUnsupportedError,
 )
 from repro.graph.fingerprint import fingerprint_content
 from repro.graph.model import Graph
@@ -78,8 +83,8 @@ _INF = INFINITY
 
 DEFAULT_TABLE_PREFIX = "repro_"
 
-# Memoized statement shapes, as in the SQLite store: one text, or the
-# TSQL (create, update, insert) triple.
+# A memoized statement shape: one text, or the TSQL (create, update,
+# insert) triple.
 _SQLText = Any
 
 
@@ -165,18 +170,26 @@ class Dialect:
     PostgreSQL requires one.
     """
 
-    def __init__(self, name: str, placeholder: str,
-                 table_exists_sql: str) -> None:
+    def __init__(self, name: str, placeholder: str, table_exists_sql: str,
+                 int_type: str, real_type: str) -> None:
         self.name = name
         self.placeholder = placeholder
         self.table_exists_sql = table_exists_sql
+        self.int_type = int_type
+        self.real_type = real_type
 
 
+# INTEGER (not BIGINT) makes ``nid INTEGER PRIMARY KEY`` an alias of the
+# rowid, so TVisited and TNodes are their own primary-key index.  The
+# table probe ignores case: database files written before the stores
+# merged spell the relations ``TNodes``/``TEdges``/...
 SQLITE_DIALECT = Dialect(
     name="sqlite",
     placeholder="?",
     table_exists_sql=("SELECT count(*) FROM sqlite_master "
-                      "WHERE type='table' AND name = ?"),
+                      "WHERE type='table' AND name = ? COLLATE NOCASE"),
+    int_type="INTEGER",
+    real_type="REAL",
 )
 
 POSTGRES_DIALECT = Dialect(
@@ -185,17 +198,24 @@ POSTGRES_DIALECT = Dialect(
     table_exists_sql=("SELECT count(*) FROM information_schema.tables "
                       "WHERE table_schema = current_schema() "
                       "AND table_name = %s"),
+    int_type="BIGINT",
+    real_type="DOUBLE PRECISION",
 )
 
 
 class WireDriver:
-    """What a scheme resolves to: how to open PEP-249 connections, which
-    dialect they speak, and which driver exceptions mean *transport* vs
-    *statement* failure."""
+    """What connects the store to an engine: how to open PEP-249
+    connections, which dialect they speak, and which driver exceptions
+    mean *transport* vs *statement* failure."""
 
     dialect: Dialect = SQLITE_DIALECT
     connection_exceptions: Tuple[type, ...] = ()
     programming_exceptions: Tuple[type, ...] = ()
+
+    shared: bool = True
+    """Whether a second :meth:`connect` reaches the same database — what
+    cloning, persistence and relocation all rest on.  Only a private
+    in-process database (SQLite's ``:memory:``) says ``False``."""
 
     def connect(self) -> Any:
         raise NotImplementedError
@@ -203,6 +223,12 @@ class WireDriver:
     def server_limit(self, connection: Any) -> Optional[int]:
         """The server-advertised connection cap, when discoverable."""
         return None
+
+    def backup(self, connection: Any, dest_path: str) -> bool:
+        """Snapshot the whole database into the SQLite file ``dest_path``
+        engine-side, when the engine can; ``False`` makes the store copy
+        the relations row by row instead."""
+        return False
 
     def describe(self) -> str:
         return type(self).__name__
@@ -266,16 +292,21 @@ def driver_for(parsed: ParsedDSN) -> WireDriver:
 # ---------------------------------------------------------------------------
 
 class DBAPIGraphStore(GraphStore):
-    """Graph store speaking PEP-249 to a client-server database.
+    """Graph store speaking PEP-249 to a relational database.
 
-    Shared relations are prefix-namespaced lower-case tables on the
-    server (``{prefix}tnodes``, ``{prefix}tedges``, ``{prefix}toutsegs``,
+    Shared relations are prefix-namespaced lower-case tables
+    (``{prefix}tnodes``, ``{prefix}tedges``, ``{prefix}toutsegs``,
     ``{prefix}tinsegs``, plus ``{prefix}meta`` recording the SegTable's
     ``lthd`` durably); per-query state (``tvisited``, TSQL scratch) lives
-    in server-side ``TEMP`` tables, private to this store's connection.
-    :meth:`clone` therefore just opens another server connection — no
-    data movement — which is what makes pooled parallel batches real
-    concurrent sessions against the same server database.
+    in ``TEMP`` tables, private to this store's connection.
+    :meth:`clone` therefore just opens another connection — no data
+    movement — which is what makes pooled parallel batches real
+    concurrent sessions against the same database.
+
+    A store is addressed by DSN, whose scheme resolves the driver — or
+    is handed a ready-made in-process ``driver``, in which case there is
+    no DSN: no table prefix, no declared connection cap, and calibration
+    probes stay in memory.
     """
 
     backend_name = "dbapi"
@@ -285,12 +316,15 @@ class DBAPIGraphStore(GraphStore):
                  driver: Optional[WireDriver] = None) -> None:
         super().__init__()
         self.path = dsn
-        self.parsed = parsed or ParsedDSN(dsn)
-        self.driver = driver or driver_for(self.parsed)
+        if driver is None:
+            parsed = parsed or ParsedDSN(dsn)
+            driver = driver_for(parsed)
+        self.parsed = parsed
+        self.driver = driver
         self.dialect = self.driver.dialect
         self._p = self.dialect.placeholder
         self.index_mode = IndexMode.CLUSTERED
-        prefix = self.parsed.table_prefix
+        prefix = parsed.table_prefix if parsed else ""
         self._tnodes = f"{prefix}tnodes"
         self._tedges = f"{prefix}tedges"
         self._toutsegs = f"{prefix}toutsegs"
@@ -376,24 +410,29 @@ class DBAPIGraphStore(GraphStore):
         """Tightest of the DSN's declared ``pool_size + max_overflow`` and
         the server's own connection cap (the fallback server's hello
         frame; PostgreSQL's ``max_connections`` setting)."""
-        bounds = [bound for bound in (self.parsed.connection_limit(),
-                                      self._server_limit)
+        declared = self.parsed.connection_limit() if self.parsed else None
+        bounds = [bound for bound in (declared, self._server_limit)
                   if bound is not None]
         return min(bounds) if bounds else None
 
     def supports_clone(self) -> bool:
-        """Cloning is always available: the data lives on the server, so
-        a clone is just one more connection."""
-        return True
+        """A clone is just one more connection to a shared database; a
+        private in-memory one has nothing to point it at."""
+        return self.driver.shared
 
     def clone(self) -> "DBAPIGraphStore":
-        """Open a fresh server connection over the same DSN.
+        """Open a fresh connection over the same database.
 
         The clone sees the shared (committed) graph and SegTable
-        relations and gets its own private ``tvisited`` temp table.
+        relations and gets its own private ``tvisited`` temp table; no
+        bulk load happens.
         """
-        replica = DBAPIGraphStore(self.path, parsed=self.parsed,
-                                  driver=driver_for(self.parsed))
+        if not self.driver.shared:
+            raise StoreCloneUnsupportedError(
+                f"{self.driver.describe()} cannot share its database with "
+                f"a second connection; the pool will rehydrate a replica"
+            )
+        replica = type(self)(self.path)
         replica.index_mode = self.index_mode
         replica.has_segtable = self.has_segtable
         replica.segtable_lthd = self.segtable_lthd
@@ -411,15 +450,19 @@ class DBAPIGraphStore(GraphStore):
         must run there — but never in the hosted tables' namespace, and
         two concurrent probes must not collide, hence a unique prefix
         per call.  Probe stores are ``destroy()``-ed after measuring,
-        which drops the prefixed tables again.
+        which drops the prefixed tables again.  An in-process engine's
+        constants are the process's: its probes stay in memory.
         """
+        if self.parsed is None:
+            return None
         return self.parsed.with_table_prefix(f"calib{uuid.uuid4().hex[:8]}_")
 
     # ----------------------------------------------------------- persistence
 
     def supports_persistence(self) -> bool:
-        """Server-side tables survive this client process by definition."""
-        return True
+        """Tables in a shared database (a server's, a file's) survive this
+        process; a private in-memory database's do not."""
+        return self.driver.shared
 
     def has_persistent_tables(self) -> bool:
         return (self._table_exists(self._tnodes)
@@ -470,60 +513,36 @@ class DBAPIGraphStore(GraphStore):
         return fingerprint_content(nodes, edges)
 
     def supports_relocation(self) -> bool:
-        """The server tables can be snapshotted into a local SQLite file
+        """A shared database can be snapshotted into a local SQLite file
         (the portable interchange format of :meth:`export_database`)."""
-        return True
+        return self.driver.shared
 
     def export_database(self, dest_path: str) -> None:
-        """Snapshot the graph (and any SegTable) into a local SQLite file
-        in the *canonical* schema — ``TNodes``/``TEdges``/``TOutSegs``/
-        ``TInSegs`` — so the export opens directly under
-        ``backend="sqlite"`` and warm-attaches without any rebuild.  The
-        client-server analogue of a ``pg_dump``: shard rebalancing uses
-        it to ship a graph off the server onto file-backed storage.
+        """Snapshot the graph (and any SegTable) into the SQLite file
+        ``dest_path``, which opens directly under ``backend="sqlite"``
+        and warm-attaches without any rebuild: the engine's own online
+        backup where the driver has one (consistent even while other
+        connections hold the source open), else a reload of the exported
+        relations — the client-server analogue of a ``pg_dump``.  Shard
+        rebalancing uses it to ship a graph onto file-backed storage.
         """
+        if not self.driver.shared:
+            raise PersistenceUnsupportedError(
+                f"{self.driver.describe()} has no database to relocate; "
+                f"only db_path- or DSN-backed stores can export_database"
+            )
         self._require_persistent_tables()
         self._commit()  # snapshot committed state only
-        nodes = self._run(f"SELECT nid FROM {self._tnodes}").fetchall()
-        edges = self._run(
-            f"SELECT fid, tid, cost FROM {self._tedges}").fetchall()
-        dest = sqlite3.connect(dest_path)
+        if self.driver.backup(self.connection, dest_path):
+            return
+        dest = create_store("sqlite", path=dest_path)
         try:
-            dest.execute("DROP TABLE IF EXISTS TNodes")
-            dest.execute("DROP TABLE IF EXISTS TEdges")
-            dest.execute("CREATE TABLE TNodes (nid INTEGER PRIMARY KEY)")
-            dest.execute(
-                "CREATE TABLE TEdges (fid INTEGER, tid INTEGER, cost REAL)")
-            dest.executemany("INSERT INTO TNodes (nid) VALUES (?)",
-                             [(int(row[0]),) for row in nodes])
-            dest.executemany(
-                "INSERT INTO TEdges (fid, tid, cost) VALUES (?, ?, ?)",
-                [(int(fid), int(tid), float(cost))
-                 for fid, tid, cost in edges])
-            if self.index_mode != IndexMode.NONE:
-                dest.execute("CREATE INDEX ix_tedges_fid ON TEdges (fid)")
-                dest.execute("CREATE INDEX ix_tedges_tid ON TEdges (tid)")
+            dest.load_graph(self.export_graph(), self.index_mode)
             if self.has_persistent_segtable():
-                for source, name in ((self._toutsegs, "TOutSegs"),
-                                     (self._tinsegs, "TInSegs")):
-                    rows = self._run(
-                        f"SELECT fid, tid, pid, cost FROM {source}"
-                    ).fetchall()
-                    dest.execute(f"DROP TABLE IF EXISTS {name}")
-                    dest.execute(
-                        f"CREATE TABLE {name} (fid INTEGER, tid INTEGER, "
-                        f"pid INTEGER, cost REAL)")
-                    dest.executemany(
-                        f"INSERT INTO {name} (fid, tid, pid, cost) "
-                        f"VALUES (?, ?, ?, ?)",
-                        [(int(fid), int(tid),
-                          None if pid is None else int(pid), float(cost))
-                         for fid, tid, pid, cost in rows])
-                    if self.index_mode != IndexMode.NONE:
-                        dest.execute(
-                            f"CREATE INDEX ix_{name.lower()}_fid "
-                            f"ON {name} (fid)")
-            dest.commit()
+                dest.load_segtable(self.seg_rows(FORWARD_DIRECTION),
+                                   self.seg_rows(BACKWARD_DIRECTION),
+                                   self.persistent_segtable_lthd(),
+                                   self.index_mode)
         finally:
             dest.close()
 
@@ -541,13 +560,14 @@ class DBAPIGraphStore(GraphStore):
         """Create and populate the prefixed ``tnodes`` / ``tedges``."""
         self.index_mode = IndexMode.validate(index_mode)
         p = self._p
+        integer, real = self.dialect.int_type, self.dialect.real_type
         self._execute_unlogged(f"DROP TABLE IF EXISTS {self._tnodes}")
         self._execute_unlogged(f"DROP TABLE IF EXISTS {self._tedges}")
         self._execute_unlogged(
-            f"CREATE TABLE {self._tnodes} (nid BIGINT PRIMARY KEY)")
+            f"CREATE TABLE {self._tnodes} (nid {integer} PRIMARY KEY)")
         self._execute_unlogged(
             f"CREATE TABLE {self._tedges} "
-            f"(fid BIGINT, tid BIGINT, cost DOUBLE PRECISION)")
+            f"(fid {integer}, tid {integer}, cost {real})")
         node_rows = [(nid,) for nid in sorted(graph.nodes())]
         if node_rows:
             self._run(f"INSERT INTO {self._tnodes} (nid) VALUES ({p})",
@@ -583,15 +603,17 @@ class DBAPIGraphStore(GraphStore):
             (key, value))
 
     def _create_visited_table(self) -> None:
-        # Server-side TEMP: session-private on PostgreSQL, connection-
-        # private on the fallback server's SQLite — either way, pooled
-        # clones over one database never see each other's search state.
+        # TEMP: session-private on PostgreSQL, connection-private on
+        # SQLite (where it also shadows any same-named table in the shared
+        # file) — either way, pooled clones over one database never see
+        # each other's search state.
+        integer, real = self.dialect.int_type, self.dialect.real_type
         self._execute_unlogged(
-            """
+            f"""
             CREATE TEMP TABLE IF NOT EXISTS tvisited (
-                nid BIGINT PRIMARY KEY,
-                d2s DOUBLE PRECISION, p2s BIGINT, f INTEGER,
-                d2t DOUBLE PRECISION, p2t BIGINT, b INTEGER
+                nid {integer} PRIMARY KEY,
+                d2s {real}, p2s {integer}, f INTEGER,
+                d2t {real}, p2t {integer}, b INTEGER
             )
             """
         )
@@ -602,12 +624,13 @@ class DBAPIGraphStore(GraphStore):
                       index_mode: str = IndexMode.CLUSTERED) -> None:
         index_mode = IndexMode.validate(index_mode)
         p = self._p
+        integer, real = self.dialect.int_type, self.dialect.real_type
         for name, rows in ((self._toutsegs, out_segments),
                            (self._tinsegs, in_segments)):
             self._execute_unlogged(f"DROP TABLE IF EXISTS {name}")
             self._execute_unlogged(
-                f"CREATE TABLE {name} (fid BIGINT, tid BIGINT, pid BIGINT, "
-                f"cost DOUBLE PRECISION)")
+                f"CREATE TABLE {name} (fid {integer}, tid {integer}, "
+                f"pid {integer}, cost {real})")
             seg_rows = [(row["fid"], row["tid"], row["pid"], row["cost"])
                         for row in rows]
             if seg_rows:
@@ -631,8 +654,8 @@ class DBAPIGraphStore(GraphStore):
         return counts
 
     def close(self) -> None:
-        """Close the server connection (temp state dies with the session;
-        shared tables stay on the server)."""
+        """Close the connection (temp state dies with the session; shared
+        tables stay in the database)."""
         if self._closed:
             return
         self._closed = True
@@ -642,7 +665,7 @@ class DBAPIGraphStore(GraphStore):
             pass  # server already gone; nothing left to release
 
     def destroy(self) -> None:
-        """Drop this store's prefixed server tables, then close.
+        """Drop this store's (prefixed) tables, then close.
 
         This is the cleanup path for calibration probes and test
         fixtures sharing one server database: it removes exactly this

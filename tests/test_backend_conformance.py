@@ -27,6 +27,7 @@ from repro.core.store.registry import available_backends, create_store
 from repro.graph.fingerprint import fingerprint_graph
 from repro.graph.model import Graph
 from repro.service import PathService
+from repro.store.dbapi import ParsedDSN
 
 LIVE_DSN = os.environ.get("REPRO_TEST_DSN", "").strip()
 
@@ -287,13 +288,16 @@ class TestPersistence:
         assert fingerprint_graph(exported) == fingerprint_graph(graph)
 
     @_parametrized
-    def test_dsn_adoption_warm_start(self, conformance_backend):
-        """Populate a server database, reopen it with ``PathService.open``:
-        the SegTable is adopted, never rebuilt, and answers still match."""
+    def test_dsn_adoption_warm_start(self, conformance_backend, tmp_path):
+        """Populate a database, reopen it with ``PathService.open`` and no
+        catalog: the SegTable is adopted, never rebuilt, and answers
+        still match."""
         backend, make_path = conformance_backend
-        path = make_path()
-        if path is None or "://" not in path:
-            pytest.skip("DSN adoption applies to client-server backends")
+        # Embedded SQLite's durable address is a database file.
+        path = (str(tmp_path / "adopt.db") if backend == "sqlite"
+                else make_path())
+        if path is None:
+            pytest.skip("backend has no durable database to adopt")
         reference = _reference_answers()
 
         writer = PathService(default_backend=backend)
@@ -313,9 +317,34 @@ class TestPersistence:
             assert service.segtable_builds == 0
         finally:
             service.close()
-        # Drop the namespaced server tables behind this test.
+        # Drop the (namespaced) tables behind this test.
         cleanup = create_store(backend, path=path)
         cleanup.destroy()
+
+
+class TestOneSQLText:
+    def test_sqlite_and_dbapi_issue_identical_statements(self, fresh_dsn):
+        """``sqlite`` and ``dbapi`` are one store over two drivers: the
+        same queries memoize the same statement texts (table prefix
+        aside) and log the same statement counts.  A second, parallel
+        SQL text cannot reappear without failing here."""
+        observed = {}
+        for backend, path in (("sqlite", None), ("dbapi", fresh_dsn())):
+            prefix = ParsedDSN(path).table_prefix if path else ""
+            service = _service_for(backend, lambda: path, with_segtable=True)
+            try:
+                counts = [
+                    service.shortest_path(1, 6, graph="g", method=method,
+                                          use_cache=False).stats.statements
+                    for method in ("BSDJ", "BSEG")]
+                memo = service._host("g").store._sql_cache
+                texts = {key: repr(text).replace(prefix, "")
+                         for key, text in memo.items()}
+                observed[backend] = (counts, texts)
+            finally:
+                service.close()
+        assert observed["sqlite"][1]  # the memo was actually exercised
+        assert observed["sqlite"] == observed["dbapi"]
 
 
 class TestSelectedBackend:

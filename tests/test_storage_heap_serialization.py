@@ -69,6 +69,23 @@ class TestHeapFile:
         heap.insert(b"again")
         assert len(heap) == 1
 
+    def test_truncate_insert_cycles_keep_page_count_flat(self):
+        # A multi-page fill must refill *every* emptied page, not only the
+        # last one — else each cycle appends pages (minidb's TVisited grew
+        # without bound across queries).
+        heap = make_heap()
+        records = [f"row{i}".encode() * 8 for i in range(40)]
+        for record in records:
+            heap.insert(record)
+        pages = heap.num_pages
+        assert pages > 2
+        for _ in range(50):
+            heap.truncate()
+            for record in records:
+                heap.insert(record)
+            assert heap.num_pages == pages
+        assert sorted(record for _, record in heap.scan()) == sorted(records)
+
 
 class TestRowSerializer:
     def test_round_trip_all_types(self):

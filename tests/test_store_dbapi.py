@@ -234,14 +234,16 @@ class TestStoreBehavior:
         finally:
             store.destroy()
 
-    def test_segtable_lthd_survives_in_meta_table(self, fresh_dsn):
-        dsn = fresh_dsn()
-        store = create_store("dbapi", path=dsn)
+    @pytest.mark.parametrize("backend", ["dbapi", "sqlite"])
+    def test_segtable_lthd_survives_in_meta_table(self, backend, fresh_dsn,
+                                                  tmp_path):
+        dsn = fresh_dsn() if backend == "dbapi" else str(tmp_path / "meta.db")
+        store = create_store(backend, path=dsn)
         store.load_graph(small_graph())
         build_segtable(store, 3.0)
         store.close()
 
-        reopened = create_store("dbapi", path=dsn)
+        reopened = create_store(backend, path=dsn)
         try:
             assert reopened.has_persistent_tables()
             assert reopened.has_persistent_segtable()
