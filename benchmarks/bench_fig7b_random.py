@@ -5,16 +5,12 @@ to 1/3 of their time); the different thresholds perform similarly, with a
 mild optimum between 3 and 7.
 """
 
-from repro.bench.experiments import build_random_graph, method_comparison
+from repro.bench.experiments import build_random_graph, lthd_sweep, method_comparison
 from repro.bench.harness import format_table, paper_reference, scaled, write_report
-from repro.workloads.queries import generate_queries
-from repro.workloads.runner import run_workload
-from repro.core.api import RelationalPathFinder
 
 
 def run_experiment():
     graph = build_random_graph(scaled(1200))
-    workload = generate_queries(graph, 2, seed=0)
     rows = []
     for aggregate in method_comparison(graph, ["BBFS", "BSDJ"], num_queries=2):
         rows.append({"method": aggregate.method, "lthd": "-",
@@ -23,16 +19,10 @@ def run_experiment():
     # The paper's thresholds 3/5/7 are calibrated against multi-million-node
     # graphs; on scaled-down graphs the equivalent knob is a few multiples of
     # the average edge weight.
-    for lthd in (10.0, 25.0, 40.0):
-        finder = RelationalPathFinder(graph)
-        try:
-            finder.build_segtable(lthd)
-            aggregate = run_workload(finder, workload, "BSEG")
-            rows.append({"method": f"BSEG({int(lthd)})", "lthd": lthd,
-                         "avg_time_s": round(aggregate.avg_time, 4),
-                         "avg_exps": round(aggregate.avg_expansions, 1)})
-        finally:
-            finder.close()
+    for swept in lthd_sweep(graph, (10.0, 25.0, 40.0), num_queries=2):
+        rows.append({"method": f"BSEG({int(swept['lthd'])})", "lthd": swept["lthd"],
+                     "avg_time_s": round(swept["avg_time_s"], 4),
+                     "avg_exps": swept["avg_exps"]})
     return rows
 
 

@@ -7,19 +7,21 @@ ratio alongside the time.
 """
 
 from repro.bench.harness import format_table, paper_reference, scaled, write_report
-from repro.core.api import RelationalPathFinder
 from repro.graph.datasets import livejournal_standin
+from repro.service import PathService
 
 
 def run_experiment():
     graph = livejournal_standin(num_nodes=scaled(500))
     rows = []
     for capacity in (16, 64, 512):
-        finder = RelationalPathFinder(graph, buffer_capacity=capacity)
-        try:
-            finder.store.database.reset_stats()  # type: ignore[attr-defined]
-            stats = finder.build_segtable(lthd=3.0)
-            buffer_stats = finder.store.database.buffer_stats  # type: ignore[attr-defined]
+        with PathService() as service:
+            service.add_graph("default", graph, backend="minidb",
+                              buffer_capacity=capacity)
+            database = service.store().database  # type: ignore[attr-defined]
+            database.reset_stats()
+            stats = service.build_segtable(lthd=3.0)
+            buffer_stats = database.buffer_stats
             rows.append(
                 {
                     "buffer_pages": capacity,
@@ -28,8 +30,6 @@ def run_experiment():
                     "hit_ratio": round(buffer_stats.hit_ratio, 3),
                 }
             )
-        finally:
-            finder.close()
     return rows
 
 

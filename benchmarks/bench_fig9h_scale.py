@@ -4,8 +4,8 @@ Paper: construction time grows almost linearly with the number of nodes on
 LiveJournal subsets, because the index only encodes local shortest segments.
 """
 
+from repro.bench.experiments import construction_sweep
 from repro.bench.harness import format_table, paper_reference, scaled, write_report
-from repro.core.api import RelationalPathFinder
 from repro.graph.datasets import livejournal_standin
 
 
@@ -13,19 +13,15 @@ def run_experiment():
     rows = []
     for num_nodes in (scaled(300), scaled(600), scaled(900)):
         graph = livejournal_standin(num_nodes=num_nodes)
-        finder = RelationalPathFinder(graph)
-        try:
-            stats = finder.build_segtable(lthd=3.0)
-            rows.append(
-                {
-                    "nodes": num_nodes,
-                    "edges": graph.num_edges,
-                    "segments": stats.encoding_number,
-                    "build_time_s": round(stats.total_time, 4),
-                }
-            )
-        finally:
-            finder.close()
+        (built,) = construction_sweep({"livejournal": graph}, [3.0])
+        rows.append(
+            {
+                "nodes": num_nodes,
+                "edges": graph.num_edges,
+                "segments": built["segments"],
+                "build_time_s": built["build_time_s"],
+            }
+        )
     return rows
 
 

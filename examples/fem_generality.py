@@ -13,7 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import RelationalPathFinder, power_law_graph
+from repro import PathService, power_law_graph
 from repro.core.prim import prim_mst_fem
 from repro.core.reachability import is_reachable_fem, reachable_set_fem
 
@@ -36,9 +36,10 @@ def main() -> None:
     # 3. The same shortest-path query on both database backends.
     print("\nshortest path 0 -> 250 on both backends:")
     for backend in ("minidb", "sqlite"):
-        with RelationalPathFinder(graph, backend=backend) as finder:
-            finder.build_segtable(lthd=10)
-            result = finder.shortest_path(0, 250, method="BSEG")
+        with PathService(default_backend=backend) as service:
+            service.add_graph("default", graph)
+            service.build_segtable(lthd=10)
+            result = service.shortest_path(0, 250, method="BSEG")
             print(f"  {backend:>7}: distance={result.distance:g} "
                   f"({result.stats.expansions} expansions, "
                   f"{result.stats.statements} statements)")

@@ -9,17 +9,12 @@ The example builds a small scale-free graph, hosts it in a
 what the planner picks for ``method="auto"`` (via ``explain()``), answers a
 query with every method the paper evaluates, and finishes with a batch of
 repeated queries served from the service's result cache.
-
-Migrating from the pre-service API? ``RelationalPathFinder(graph)`` becomes
-``service.add_graph("name", graph)``; ``finder.shortest_path(s, t)`` becomes
-``service.shortest_path(s, t, graph="name")``; the old classes still work
-but emit a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
 from repro import PathService, power_law_graph
-from repro.workloads.queries import generate_queries
+from repro.workload import generate_queries
 
 
 def main() -> None:

@@ -12,8 +12,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro import RelationalPathFinder, grid_graph
-from repro.workloads.runner import run_workload
+from repro import PathService, grid_graph
+from repro.workload import run_service_workload
 
 
 def main() -> None:
@@ -24,29 +24,29 @@ def main() -> None:
     source = 0
     target = rows * cols - 1  # opposite corner
 
-    finder = RelationalPathFinder(graph)
-    print("\ncorner-to-corner route without the SegTable index:")
-    for method in ("BDJ", "BSDJ", "BBFS"):
-        result = finder.shortest_path(source, target, method=method)
-        print(f"  {method:>4}: length={result.distance:g} "
-              f"({result.num_edges} segments, "
-              f"{result.stats.expansions} expansions, "
-              f"{result.stats.total_time:.3f} s)")
+    # cache_size=0: every query below is measured, never replayed.
+    with PathService(cache_size=0) as service:
+        service.add_graph("default", graph)
+        print("\ncorner-to-corner route without the SegTable index:")
+        for method in ("BDJ", "BSDJ", "BBFS"):
+            result = service.shortest_path(source, target, method=method)
+            print(f"  {method:>4}: length={result.distance:g} "
+                  f"({result.num_edges} segments, "
+                  f"{result.stats.expansions} expansions, "
+                  f"{result.stats.total_time:.3f} s)")
 
-    print("\nBSEG with different index thresholds (paper Figure 7(c)):")
-    for lthd in (5, 15, 30):
-        build = finder.build_segtable(lthd=lthd)
-        result = finder.shortest_path(source, target, method="BSEG")
-        print(f"  lthd={lthd:<3} segments={build.encoding_number:<6} "
-              f"expansions={result.stats.expansions:<4} "
-              f"time={result.stats.total_time:.3f} s")
+        print("\nBSEG with different index thresholds (paper Figure 7(c)):")
+        for lthd in (5, 15, 30):
+            build = service.build_segtable(lthd=lthd)
+            result = service.shortest_path(source, target, method="BSEG")
+            print(f"  lthd={lthd:<3} segments={build.encoding_number:<6} "
+                  f"expansions={result.stats.expansions:<4} "
+                  f"time={result.stats.total_time:.3f} s")
 
-    workload = [(0, target), (cols - 1, rows * cols - cols), (12, 600)]
-    aggregate = run_workload(finder, workload, "BSEG")
-    print(f"\naverage over {aggregate.queries} routes with BSEG: "
-          f"{aggregate.avg_time:.3f} s, {aggregate.avg_expansions:.1f} expansions")
-    finder.close()
-
+        workload = [(0, target), (cols - 1, rows * cols - cols), (12, 600)]
+        aggregate, _stats = run_service_workload(service, workload, "BSEG")
+        print(f"\naverage over {aggregate.queries} routes with BSEG: "
+              f"{aggregate.avg_time:.3f} s, {aggregate.avg_expansions:.1f} expansions")
 
 if __name__ == "__main__":
     main()

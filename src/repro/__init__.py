@@ -30,20 +30,9 @@ Quickstart::
         batch = service.shortest_path_many([(0, 1234), (3, 99)],
                                            graph="social")
         print(batch.distances(), batch.stats.hit_rate)
-
-Migration note: the former entry points ``RelationalPathFinder`` and the
-one-shot ``shortest_path`` remain available as deprecated shims with
-identical results — ``RelationalPathFinder(graph)`` is now spelled
-``service.add_graph(...)`` plus ``service.shortest_path(...)``.
 """
 
 from repro.catalog import Catalog, CatalogEntry
-from repro.core.api import (
-    METHODS,
-    RelationalPathFinder,
-    shortest_path,
-    shortest_path_in_memory,
-)
 from repro.core.path import PathResult
 from repro.core.segtable import SegTableConfig, build_segtable
 from repro.core.sqlstyle import NSQL, TSQL
@@ -73,17 +62,17 @@ from repro.memory.bidirectional import bidirectional_dijkstra
 from repro.memory.dijkstra import dijkstra_shortest_path
 from repro.rdb.engine import Database
 from repro.service import (
+    METHODS,
     BatchResult,
     PathService,
     QueryPlan,
     QuerySpec,
-    Session,
     available_backends,
     register_backend,
     unregister_backend,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BatchResult",
@@ -102,11 +91,9 @@ __all__ = [
     "QueryPlan",
     "QuerySpec",
     "QueryStats",
-    "RelationalPathFinder",
     "SQLiteGraphStore",
     "SegTableBuildStats",
     "SegTableConfig",
-    "Session",
     "TSQL",
     "__version__",
     "available_backends",
@@ -126,8 +113,6 @@ __all__ = [
     "random_graph",
     "read_edge_list",
     "register_backend",
-    "shortest_path",
-    "shortest_path_in_memory",
     "star_graph",
     "unregister_backend",
     "write_edge_list",

@@ -16,8 +16,8 @@ from repro.core.store.base import IndexMode
 from repro.graph.generators import power_law_graph, random_graph
 from repro.graph.model import Graph
 from repro.service.session import PathService
-from repro.workloads.queries import generate_queries
-from repro.workloads.runner import MethodAggregate, run_service_workload
+from repro.workload.queries import generate_queries
+from repro.workload.runner import MethodAggregate, run_service_workload
 
 
 def _measurement_service(graph: Graph, backend: Optional[str] = None,

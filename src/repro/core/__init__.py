@@ -6,9 +6,7 @@ This package implements the paper's contribution:
   and merge (M) expressed as relational statements over a ``TVisited`` table;
 * the relational shortest-path algorithms — **DJ** (Algorithm 1), **BDJ**,
   **BSDJ** (Section 4.1), **BBFS** and **BSEG** (Algorithm 2);
-* the **SegTable** index and its FEM-based construction (Section 4.2);
-* the top-level :func:`~repro.core.api.shortest_path` convenience API and
-  the in-memory competitors wiring (MDJ / MBDJ).
+* the **SegTable** index and its FEM-based construction (Section 4.2).
 
 Algorithms talk to a :class:`~repro.core.store.base.GraphStore`, which plays
 the role of "the RDB reached over JDBC" in the paper: every method call
@@ -19,12 +17,7 @@ one over the built-in mini relational engine and one over SQLite.
 from repro.core.stats import QueryStats, SegTableBuildStats
 from repro.core.sqlstyle import NSQL, TSQL
 from repro.core.path import PathResult
-from repro.core.api import (
-    METHODS,
-    RelationalPathFinder,
-    shortest_path,
-    shortest_path_in_memory,
-)
+from repro.service.planner import METHODS
 from repro.core.segtable import SegTableConfig, build_segtable
 from repro.core.fem import FEMSearch, FEMSpec
 
@@ -35,11 +28,8 @@ __all__ = [
     "NSQL",
     "PathResult",
     "QueryStats",
-    "RelationalPathFinder",
     "SegTableBuildStats",
     "SegTableConfig",
     "TSQL",
     "build_segtable",
-    "shortest_path",
-    "shortest_path_in_memory",
 ]

@@ -66,12 +66,3 @@ BACKWARD_DIRECTION = Direction(
     edge_other="fid",
     seg_table="TInSegs",
 )
-
-
-def direction_for(name: str) -> Direction:
-    """Return the :class:`Direction` called ``name``."""
-    if name == FORWARD:
-        return FORWARD_DIRECTION
-    if name == BACKWARD:
-        return BACKWARD_DIRECTION
-    raise ValueError(f"unknown direction {name!r}")

@@ -22,7 +22,7 @@ graph pattern matching (:mod:`repro.core.pattern`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.deadline import check_deadline
 from repro.errors import InvalidQueryError
@@ -142,17 +142,3 @@ class FEMSearch:
     def visited_rows(self) -> List[Row]:
         """Materialize the visited relation after :meth:`run`."""
         return list(self.visited.scan())
-
-
-def iterate_rows(rows: Iterable[Row], copy: bool = False) -> List[Row]:
-    """Materialize an iterable of rows (small helper used by FEM specs).
-
-    By default the rows are materialized **without** copying — one dict
-    per row per call was pure overhead on the expansion hot path.  Pass
-    ``copy=True`` when the caller mutates the returned rows and the
-    source rows must stay pristine (e.g. rows scanned straight out of a
-    live table).
-    """
-    if copy:
-        return [dict(row) for row in rows]
-    return list(rows)

@@ -285,24 +285,10 @@ def hop_limited_search(store: GraphStore, source: int, target: int,
     return PathResult(source, target, float(distance), path, stats)
 
 
-def reachability_search(store: GraphStore, source: int, target: int,
-                        sql_style: str = NSQL,
-                        max_iterations: Optional[int] = None,
-                        deadline: Optional[float] = None) -> PathResult:
-    """The reachability-only fast path: :func:`hop_limited_search` with no
-    hop budget.  Returns a witness path whose ``distance`` is its hop
-    count; raises :class:`PathNotFoundError` when the target is simply not
-    reachable."""
-    return hop_limited_search(store, source, target, sql_style=sql_style,
-                              max_hops=None, max_iterations=max_iterations,
-                              method=METHOD_REACH, deadline=deadline)
-
-
 __all__ = [
     "METHOD_HOPS",
     "METHOD_REACH",
     "OneToManyResult",
     "dijkstra_one_to_many",
     "hop_limited_search",
-    "reachability_search",
 ]

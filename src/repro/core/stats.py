@@ -241,14 +241,10 @@ class BatchStats:
     def as_dict(self) -> Dict[str, object]:
         """Return a plain-dict summary (used by workload reports).
 
-        Durations use the canonical ``_s``-suffixed keys from
-        :mod:`repro.obs.schema` (``total_time_s`` / ``queue_time_s`` /
-        ``execute_time_s``); the historical un-suffixed keys are kept as
-        deprecated aliases for one release (see
-        :data:`repro.obs.schema.DEPRECATED_STATS_ALIASES`).
+        Durations carry an explicit ``_s`` unit suffix (``total_time_s`` /
+        ``queue_time_s`` / ``execute_time_s``).
         """
-        from repro.obs.schema import with_deprecated_aliases
-        return with_deprecated_aliases({
+        return {
             "total": self.total,
             "executed": self.executed,
             "cache_hits": self.cache_hits,
@@ -267,7 +263,7 @@ class BatchStats:
             "shared_frontier_groups": self.shared_frontier_groups,
             "shared_frontier_queries": self.shared_frontier_queries,
             "deadline_exceeded": self.deadline_exceeded,
-        }, "batch")
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "BatchStats":
@@ -275,12 +271,6 @@ class BatchStats:
         slice's batch counters over the wire; the router folds them into
         :class:`~repro.shard.stats.RouterStats` exactly like a local
         shard's)."""
-        def duration(canonical: str, legacy: str) -> float:
-            # Canonical ``_s`` key first; documents from older writers
-            # only carry the legacy un-suffixed key.
-            value = data.get(canonical, data.get(legacy, 0.0))
-            return float(value)  # type: ignore[arg-type]
-
         return cls(
             total=int(data.get("total", 0)),
             executed=int(data.get("executed", 0)),
@@ -289,15 +279,15 @@ class BatchStats:
             not_found=int(data.get("not_found", 0)),
             negative_hits=int(data.get("negative_hits", 0)),
             evictions=int(data.get("evictions", 0)),
-            total_time=duration("total_time_s", "total_time"),
+            total_time=float(data.get("total_time_s", 0.0)),
             per_graph={str(graph): int(count) for graph, count
                        in dict(data.get("per_graph", {})).items()},
             per_method={str(method): int(count) for method, count
                         in dict(data.get("per_method", {})).items()},
             concurrency=int(data.get("concurrency", 1)),
             single_flight_hits=int(data.get("single_flight_hits", 0)),
-            queue_time=duration("queue_time_s", "queue_time"),
-            execute_time=duration("execute_time_s", "execute_time"),
+            queue_time=float(data.get("queue_time_s", 0.0)),
+            execute_time=float(data.get("execute_time_s", 0.0)),
             shared_frontier_groups=int(data.get("shared_frontier_groups", 0)),
             shared_frontier_queries=int(
                 data.get("shared_frontier_queries", 0)),

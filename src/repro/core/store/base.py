@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.directions import Direction
-from repro.core.stats import QueryStats, SegTableBuildStats
+from repro.core.stats import QueryStats
 from repro.errors import PersistenceUnsupportedError, StoreCloneUnsupportedError
 from repro.graph.model import Graph
 

@@ -130,8 +130,8 @@ class ServiceError(ReproError):
 class UnknownBackendError(ServiceError, InvalidQueryError):
     """A backend name is not present in the backend registry.
 
-    Also an :class:`InvalidQueryError` so legacy callers that guarded
-    ``RelationalPathFinder(backend=...)`` with it keep working.
+    Also an :class:`InvalidQueryError`: a request naming an unregistered
+    backend is malformed like one naming an unknown method.
     """
 
 

@@ -5,10 +5,8 @@ One stable, documented, snake_case vocabulary shared by three surfaces:
 1. the ``/metrics`` Prometheus endpoint (the ``METRIC_*`` constants),
 2. the JSON snapshot APIs (``PathService.metrics()`` /
    ``ShardRouter.metrics()``), and
-3. the legacy ``*Stats.as_dict()`` payloads, whose historical keys are
-   kept for one release as deprecated aliases (see
-   ``DEPRECATED_STATS_ALIASES``; canonical duration keys carry an
-   explicit ``_s`` / ``_seconds`` unit suffix).
+3. the ``*Stats.as_dict()`` payloads, whose duration keys carry an
+   explicit ``_s`` / ``_seconds`` unit suffix.
 
 The full catalog — name, type, labels, meaning — is documented in
 ``docs/observability.md``; ``tests/test_obs.py`` asserts the two stay in
@@ -17,13 +15,11 @@ sync.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict
 
 __all__ = [
     "ALL_METRIC_NAMES",
-    "DEPRECATED_STATS_ALIASES",
     "STATS_SCHEMA_VERSION",
-    "with_deprecated_aliases",
 ]
 
 STATS_SCHEMA_VERSION = 1
@@ -87,34 +83,3 @@ ALL_METRIC_NAMES: Dict[str, str] = {
     if name.startswith("METRIC_")
 }
 """``{constant_name: metric_name}`` — the complete exported catalog."""
-
-# Canonical key -> historical key, kept for one release.  Consumers
-# should migrate to the canonical (unit-suffixed) keys; the aliases are
-# slated for removal in the next release.
-DEPRECATED_STATS_ALIASES: Dict[str, Dict[str, str]] = {
-    "batch": {
-        "total_time_s": "total_time",
-        "queue_time_s": "queue_time",
-        "execute_time_s": "execute_time",
-    },
-    "router": {
-        "total_time_s": "total_time",
-    },
-    # CacheStats keys were already unit-suffixed snake_case; no aliases.
-    "cache": {},
-}
-
-
-def with_deprecated_aliases(canonical: Mapping[str, object],
-                            kind: str) -> Dict[str, object]:
-    """Extend a canonical stats dict with the deprecated legacy keys.
-
-    ``kind`` is one of ``DEPRECATED_STATS_ALIASES``' groups.  Unknown
-    kinds pass through unchanged, so callers can apply this
-    unconditionally.
-    """
-    out = dict(canonical)
-    for canonical_key, legacy_key in DEPRECATED_STATS_ALIASES.get(kind, {}).items():
-        if canonical_key in out and legacy_key not in out:
-            out[legacy_key] = out[canonical_key]
-    return out

@@ -12,7 +12,7 @@ convenience wrapper used by the stores.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.rdb.expressions import ExpressionLike, as_callable

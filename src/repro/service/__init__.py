@@ -7,8 +7,8 @@ and the relational engine underneath:
 
 * the **backend registry** (:func:`register_backend`,
   :func:`available_backends`) makes graph stores pluggable by name;
-* :class:`PathService` (alias :class:`Session`) hosts multiple named
-  graphs, manages store lifecycle and memoizes SegTable builds;
+* :class:`PathService` hosts multiple named graphs, manages store
+  lifecycle and memoizes SegTable builds;
 * the **planner** resolves ``method="auto"`` into DJ/BDJ/BSDJ/BSEG with a
   **calibrated cost model** (:mod:`repro.service.costmodel`): per-backend
   unit costs measured by :mod:`repro.service.calibrate`, persisted in the
@@ -37,9 +37,6 @@ and the relational engine underneath:
 * a service opened as one shard of a :class:`repro.shard.ShardRouter`
   carries its shard name as ``shard_id``, appended to every cache and
   single-flight key so entries stay disjoint across shards.
-
-The legacy ``RelationalPathFinder`` / module-level ``shortest_path`` API in
-:mod:`repro.core.api` remains as a deprecation shim over this layer.
 """
 
 from repro.core.stats import BatchStats
@@ -76,7 +73,7 @@ from repro.service.planner import (
     RELATIONAL_METHODS,
     plan_query,
 )
-from repro.service.session import DEFAULT_GRAPH, PathService, Session, run_in_memory
+from repro.service.session import DEFAULT_GRAPH, PathService, run_in_memory
 
 __all__ = [
     "AUTO_METHOD",
@@ -98,7 +95,6 @@ __all__ = [
     "QuerySpec",
     "RELATIONAL_METHODS",
     "ResultCache",
-    "Session",
     "available_backends",
     "backend_factory",
     "calibrate_profile",

@@ -52,7 +52,6 @@ from repro.obs.schema import (
     METRIC_CACHE_NEGATIVE_HITS,
     METRIC_CACHE_NEGATIVE_SIZE,
     METRIC_CACHE_SIZE,
-    with_deprecated_aliases,
 )
 
 CacheKey = Tuple[Hashable, ...]
@@ -105,7 +104,7 @@ class CacheStats:
         ``hit_rate``."""
         doc = asdict(self)
         doc["hit_rate"] = self.hit_rate
-        return with_deprecated_aliases(doc, "cache")
+        return doc
 
 
 class _Entry:

@@ -1355,7 +1355,4 @@ class PathService:
             ).observe(abs(predicted - executed) / executed)
 
 
-Session = PathService
-"""Alias: a :class:`PathService` *is* the query session."""
-
-__all__ = ["DEFAULT_GRAPH", "PathService", "Session", "run_in_memory"]
+__all__ = ["DEFAULT_GRAPH", "PathService", "run_in_memory"]

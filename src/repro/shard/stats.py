@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.core.stats import BatchStats
-from repro.obs.schema import with_deprecated_aliases
 
 
 @dataclass
@@ -103,12 +102,9 @@ class RouterStats:
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict summary (used by the scatter benchmark's JSON).
 
-        Durations use the canonical ``_s``-suffixed keys
-        (``total_time_s``); the historical ``total_time`` key is kept as
-        a deprecated alias for one release (see
-        :data:`repro.obs.schema.DEPRECATED_STATS_ALIASES`).
+        Durations carry an explicit ``_s`` unit suffix (``total_time_s``).
         """
-        return with_deprecated_aliases({
+        return {
             "total": self.total,
             "shards_touched": self.shards_touched,
             "total_time_s": self.total_time,
@@ -122,7 +118,7 @@ class RouterStats:
             "per_shard": {shard: stats.as_dict()
                           for shard, stats in sorted(self.per_shard.items())},
             "rollup": self.rollup().as_dict(),
-        }, "router")
+        }
 
 
 __all__ = ["RouterStats"]

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator
 
 from repro.errors import BufferPoolError
 from repro.storage.disk import DiskManager

@@ -9,7 +9,7 @@ I/O-centric experiments measure.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.errors import PageFullError
 from repro.storage.buffer_pool import BufferPool

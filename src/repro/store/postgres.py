@@ -49,11 +49,6 @@ except ImportError:  # pragma: no cover - depends on environment
 POSTGRES_SCHEMES = ("postgresql", "postgres")
 
 
-def driver_available() -> bool:
-    """Whether a psycopg driver is importable in this environment."""
-    return _psycopg is not None
-
-
 class PostgresDriver(WireDriver):
     """Wire driver dialing PostgreSQL through psycopg (3 or 2)."""
 

@@ -5,10 +5,8 @@ query time, average number of expansions ("Exps") and average number of
 visited nodes ("Vst"), plus the phase/operator time breakdowns used by
 Figure 6.
 
-Two entry points are provided: :func:`run_workload` drives the legacy
-:class:`~repro.core.api.RelationalPathFinder` one query at a time, and
-:func:`run_service_workload` pushes the whole workload through
-:meth:`~repro.service.PathService.shortest_path_many`, returning the same
+:func:`run_service_workload` pushes a whole workload through
+:meth:`~repro.service.PathService.shortest_path_many` and returns the
 aggregate plus the batch's cache statistics.
 """
 
@@ -18,11 +16,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.api import RelationalPathFinder
 from repro.core.path import PathResult
 from repro.core.sqlstyle import NSQL
 from repro.core.stats import BatchStats
-from repro.errors import PathNotFoundError
 from repro.service.session import DEFAULT_GRAPH, PathService
 
 
@@ -101,27 +97,6 @@ def aggregate_results(results: List[PathResult], method: str,
     return aggregate
 
 
-def run_workload(finder: RelationalPathFinder,
-                 queries: Iterable[Tuple[int, int]],
-                 method: str,
-                 sql_style: str = NSQL,
-                 max_iterations: Optional[int] = None) -> MethodAggregate:
-    """Run every query with ``method`` and aggregate the statistics."""
-    results: List[PathResult] = []
-    not_found = 0
-    for source, target in queries:
-        try:
-            result = finder.shortest_path(source, target, method=method,
-                                          sql_style=sql_style,
-                                          max_iterations=max_iterations)
-        except PathNotFoundError:
-            not_found += 1
-            continue
-        results.append(result)
-    return aggregate_results(results, method=method, sql_style=sql_style,
-                             not_found=not_found)
-
-
 def run_service_workload(service: PathService,
                          queries: Iterable[Tuple[int, int]],
                          method: str = "auto",
@@ -131,9 +106,9 @@ def run_service_workload(service: PathService,
                          ) -> Tuple[MethodAggregate, BatchStats]:
     """Run a workload through the service's batch API.
 
-    Returns the same :class:`MethodAggregate` as :func:`run_workload` (the
-    label is the batch's dominant resolved method when planning with
-    ``"auto"``) plus the batch's :class:`BatchStats`.
+    Returns the :class:`MethodAggregate` (the label is the batch's
+    dominant resolved method when planning with ``"auto"``) plus the
+    batch's :class:`BatchStats`.
 
     The aggregate covers only the executions this batch actually performed;
     answers replayed from the result cache cost ~nothing and would distort

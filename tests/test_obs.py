@@ -23,11 +23,7 @@ from repro.obs import (
     timer,
     wall_time,
 )
-from repro.obs.schema import (
-    ALL_METRIC_NAMES,
-    DEPRECATED_STATS_ALIASES,
-    with_deprecated_aliases,
-)
+from repro.obs.schema import ALL_METRIC_NAMES
 
 
 class TestClock:
@@ -322,17 +318,3 @@ class TestSchema:
             assert constant.startswith("METRIC_")
             assert name.startswith("repro_"), name
             assert name == name.lower()
-
-    def test_with_deprecated_aliases(self):
-        canonical = {"total": 3, "total_time_s": 1.25}
-        out = with_deprecated_aliases(canonical, "router")
-        assert out["total_time"] == 1.25
-        assert out["total_time_s"] == 1.25
-        # unknown kinds pass through untouched
-        assert with_deprecated_aliases(canonical, "nope") == canonical
-
-    def test_alias_map_is_canonical_to_legacy(self):
-        for kind, aliases in DEPRECATED_STATS_ALIASES.items():
-            for canonical_key in aliases:
-                assert canonical_key.endswith(("_s", "_seconds")), \
-                    (kind, canonical_key)

@@ -20,6 +20,7 @@ from repro.obs.schema import (
     METRIC_SINGLE_FLIGHT,
 )
 from repro.service import PathService
+from repro.shard.stats import RouterStats
 
 
 @pytest.fixture
@@ -123,25 +124,17 @@ class TestServiceMetrics:
 
 
 class TestStatsSchema:
-    def test_batch_stats_canonical_and_alias_keys(self):
+    def test_duration_keys_are_unit_suffixed_only(self):
         stats = BatchStats(total=2, executed=2, total_time=1.5,
                            queue_time=0.25, execute_time=1.0)
         doc = stats.as_dict()
-        for canonical, legacy in (("total_time_s", "total_time"),
-                                  ("queue_time_s", "queue_time"),
-                                  ("execute_time_s", "execute_time")):
-            assert doc[canonical] == doc[legacy]
-
-    def test_batch_stats_from_dict_reads_both_generations(self):
-        canonical_only = {"total": 1, "total_time_s": 2.0,
-                          "queue_time_s": 0.5, "execute_time_s": 1.5}
-        legacy_only = {"total": 1, "total_time": 2.0,
-                       "queue_time": 0.5, "execute_time": 1.5}
-        for wire in (canonical_only, legacy_only):
-            stats = BatchStats.from_dict(wire)
-            assert stats.total_time == 2.0
-            assert stats.queue_time == 0.5
-            assert stats.execute_time == 1.5
+        assert {key for key in doc if "time" in key} == {
+            "total_time_s", "queue_time_s", "execute_time_s"}
+        router_doc = RouterStats(total=2, total_time=1.5).as_dict()
+        assert {key for key in router_doc if "time" in key} == {"total_time_s"}
+        again = BatchStats.from_dict(doc)
+        assert (again.total_time, again.queue_time,
+                again.execute_time) == (1.5, 0.25, 1.0)
 
     def test_roundtrip_is_stable(self):
         stats = BatchStats(total=3, executed=2, cache_hits=1,

@@ -4,11 +4,18 @@ in-memory Dijkstra oracle on randomly generated graphs and queries."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.api import RelationalPathFinder
 from repro.errors import PathNotFoundError
 from repro.graph.model import Graph
 from repro.memory.bidirectional import bidirectional_dijkstra
 from repro.memory.dijkstra import dijkstra_shortest_path
+from repro.service import PathService
+
+
+def hosted(graph, **add_graph_options):
+    """A cache-less service hosting ``graph`` as the default graph."""
+    service = PathService(cache_size=0)
+    service.add_graph("default", graph, **add_graph_options)
+    return service
 
 
 @st.composite
@@ -53,19 +60,19 @@ def test_property_relational_methods_match_oracle(case):
     unreachable pairs (where they must raise PathNotFoundError)."""
     graph, source, target = case
     expected = oracle_distance(graph, source, target)
-    finder = RelationalPathFinder(graph, buffer_capacity=64)
-    finder.build_segtable(lthd=8)
+    service = hosted(graph, buffer_capacity=64)
+    service.build_segtable(lthd=8)
     try:
         for method in ("DJ", "BDJ", "BSDJ", "BBFS", "BSEG"):
             if expected is None:
                 with pytest.raises(PathNotFoundError):
-                    finder.shortest_path(source, target, method=method)
+                    service.shortest_path(source, target, method=method)
             else:
-                result = finder.shortest_path(source, target, method=method)
+                result = service.shortest_path(source, target, method=method)
                 assert result.distance == pytest.approx(expected)
                 result.validate_against(graph)
     finally:
-        finder.close()
+        service.close()
 
 
 @settings(max_examples=25, deadline=None,
@@ -75,18 +82,18 @@ def test_property_sqlite_backend_matches_oracle(case):
     """The SQLite store gives the same answers as the mini engine."""
     graph, source, target = case
     expected = oracle_distance(graph, source, target)
-    finder = RelationalPathFinder(graph, backend="sqlite")
-    finder.build_segtable(lthd=8)
+    service = hosted(graph, backend="sqlite")
+    service.build_segtable(lthd=8)
     try:
         for method in ("BSDJ", "BSEG"):
             if expected is None:
                 with pytest.raises(PathNotFoundError):
-                    finder.shortest_path(source, target, method=method)
+                    service.shortest_path(source, target, method=method)
             else:
-                result = finder.shortest_path(source, target, method=method)
+                result = service.shortest_path(source, target, method=method)
                 assert result.distance == pytest.approx(expected)
     finally:
-        finder.close()
+        service.close()
 
 
 @settings(max_examples=40, deadline=None,
@@ -112,10 +119,10 @@ def test_property_sql_styles_equivalent(case, sql_style):
     expected = oracle_distance(graph, source, target)
     if expected is None:
         return
-    finder = RelationalPathFinder(graph, buffer_capacity=64)
+    service = hosted(graph, buffer_capacity=64)
     try:
-        result = finder.shortest_path(source, target, method="BSDJ",
-                                      sql_style=sql_style)
+        result = service.shortest_path(source, target, method="BSDJ",
+                                       sql_style=sql_style)
         assert result.distance == pytest.approx(expected)
     finally:
-        finder.close()
+        service.close()

@@ -152,8 +152,8 @@ class TestSingleFlightAndStats:
             assert batch.stats.execute_time > 0.0
             assert batch.stats.queue_time >= 0.0
             as_dict = batch.stats.as_dict()
-            for field in ("concurrency", "single_flight_hits", "queue_time",
-                          "execute_time"):
+            for field in ("concurrency", "single_flight_hits", "queue_time_s",
+                          "execute_time_s"):
                 assert field in as_dict
 
     def test_parallel_does_not_inflate_cache_counters(self):

@@ -89,3 +89,22 @@ class TestRegistry:
             assert isinstance(service.store("g"), SQLiteGraphStore)
             result = service.shortest_path(0, 4, graph="g", method="BDJ")
             assert result.distance == 8
+
+    def test_store_module_reload_safe(self):
+        # In a subprocess: importlib.reload rebinds the module's globals in
+        # place, so running it here would poison this process's registry
+        # with factories building fresh class objects.
+        import subprocess
+        import sys
+
+        code = (
+            "import importlib, repro.core.store.minidb as m, "
+            "repro.core.store.sqlite as s; "
+            "importlib.reload(m); importlib.reload(s); "  # must not raise
+            "from repro.service import create_store; "
+            "store = create_store('minidb'); store.close(); print('ok')"
+        )
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "ok" in result.stdout

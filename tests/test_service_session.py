@@ -12,7 +12,7 @@ from repro.errors import (
 )
 from repro.graph.generators import grid_graph, path_graph, power_law_graph
 from repro.memory.dijkstra import dijkstra_shortest_path
-from repro.service import PathService, Session
+from repro.service import PathService
 
 
 class TestGraphHosting:
@@ -71,9 +71,6 @@ class TestGraphHosting:
             service.add_graph("g", path_graph(3))
             with pytest.raises(InvalidQueryError):
                 service.shortest_path(0, 2, graph="g", method="ASTAR")
-
-    def test_session_alias(self):
-        assert Session is PathService
 
     def test_close_is_idempotent(self):
         service = PathService()

@@ -12,12 +12,11 @@ from repro.bench.experiments import (
     sql_style_comparison,
 )
 from repro.bench.harness import bench_scale, format_table, paper_reference, scaled
-from repro.core.api import RelationalPathFinder
 from repro.graph.generators import grid_graph, path_graph, power_law_graph
 from repro.graph.model import Graph
 from repro.memory.dijkstra import dijkstra_shortest_path
-from repro.workloads.queries import generate_queries
-from repro.workloads.runner import run_workload
+from repro.service import PathService
+from repro.workload import generate_queries, run_service_workload
 
 
 class TestQueryWorkloads:
@@ -60,8 +59,9 @@ class TestRunner:
     def test_aggregate_fields(self):
         graph = grid_graph(4, 4, seed=2)
         workload = generate_queries(graph, 3, seed=5)
-        with RelationalPathFinder(graph) as finder:
-            aggregate = run_workload(finder, workload, "BSDJ")
+        with PathService(cache_size=0) as service:
+            service.add_graph("default", graph)
+            aggregate, _stats = run_service_workload(service, workload, "BSDJ")
         assert aggregate.method == "BSDJ"
         assert aggregate.queries == 3
         assert aggregate.avg_time > 0
@@ -74,8 +74,9 @@ class TestRunner:
         graph = Graph()
         graph.add_edge(0, 1, 1.0)
         graph.add_node(5)
-        with RelationalPathFinder(graph) as finder:
-            aggregate = run_workload(finder, [(0, 5)], "BSDJ")
+        with PathService(cache_size=0) as service:
+            service.add_graph("default", graph)
+            aggregate, _stats = run_service_workload(service, [(0, 5)], "BSDJ")
         assert aggregate.not_found == 1
         assert aggregate.queries == 0
 
@@ -133,9 +134,6 @@ class TestExperimentHelpers:
 
 class TestServiceRunner:
     def test_run_service_workload_aggregate(self):
-        from repro.service import PathService
-        from repro.workloads.runner import run_service_workload
-
         graph = power_law_graph(100, edges_per_node=2, seed=6)
         workload = generate_queries(graph, 4, seed=8)
         with PathService() as service:
@@ -148,9 +146,6 @@ class TestServiceRunner:
         assert batch_stats.per_method.get("BSDJ") == len(workload)
 
     def test_run_service_workload_auto_label(self):
-        from repro.service import PathService
-        from repro.workloads.runner import run_service_workload
-
         graph = power_law_graph(100, edges_per_node=2, seed=6)
         workload = generate_queries(graph, 3, seed=9)
         with PathService() as service:
@@ -174,9 +169,6 @@ class TestServiceRunner:
             bench_backend()
 
     def test_run_service_workload_counts_each_execution_once(self):
-        from repro.service import PathService
-        from repro.workloads.runner import run_service_workload
-
         graph = grid_graph(4, 4, seed=3)
         workload = [(0, 15), (0, 15), (0, 15), (0, 12)]
         with PathService() as service:
@@ -189,9 +181,6 @@ class TestServiceRunner:
         assert aggregate.queries == 2
 
     def test_run_service_workload_warm_cache_aggregates_nothing(self):
-        from repro.service import PathService
-        from repro.workloads.runner import run_service_workload
-
         graph = grid_graph(4, 4, seed=3)
         workload = [(0, 15), (0, 12)]
         with PathService() as service:
