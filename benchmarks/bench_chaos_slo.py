@@ -45,7 +45,15 @@ from repro.bench.harness import (
     write_report,
 )
 from repro.errors import ReproError, ServerOverloadedError
-from repro.faults import FaultPlan, FaultSpec, KIND_ERROR, install_client_faults, slow
+from repro.faults import (
+    KIND_ERROR,
+    FaultPlan,
+    FaultSpec,
+    install_client_faults,
+    install_store_faults,
+    slow,
+    uninstall_faults,
+)
 from repro.graph.generators import power_law_graph
 from repro.obs import MetricsRegistry
 from repro.serve import ShardClient, ShardServer
@@ -76,6 +84,13 @@ BURST_EVERY = 150
 BURST_THREADS = 8
 """Overload chaos: every ``BURST_EVERY`` queries, this many concurrent
 zero-retry requests hit the admission-limited server at once."""
+
+BURST_STATEMENT_DELAY_S = 0.002
+"""Injected delay per store statement on the server's graph during a
+burst.  Burst requests bypass the result cache, so each admitted one runs
+a ~70-statement BSEG query and holds its admission slot for ~0.15 s — far
+longer than the other requests take to arrive, so the sheds follow from
+``max_inflight``/``max_queue`` rather than from thread timing."""
 
 TRAFFIC = TrafficConfig(
     seed=777,
@@ -114,10 +129,12 @@ def _fault_plan():
     ], seed=FAULT_SEED)
 
 
-def _burst(server_url, shed_counter):
-    """Slam the server with concurrent zero-retry queries; count the
-    typed sheds (anything else the burst provokes is ignored — the
-    routed stream, not the burst, is what the SLO grades)."""
+def _burst(server_url, server_store, shed_counter):
+    """Slam the server with concurrent zero-retry, uncached queries while
+    every statement on its store is slowed (see
+    :data:`BURST_STATEMENT_DELAY_S`); count the typed sheds (anything
+    else the burst provokes is ignored — the routed stream, not the
+    burst, is what the SLO grades)."""
     barrier = threading.Barrier(BURST_THREADS)
 
     def one_shot():
@@ -125,7 +142,8 @@ def _burst(server_url, shed_counter):
         barrier.wait()
         try:
             client.shortest_path(QuerySpec(source=0, target=1,
-                                           graph="social"))
+                                           graph="social"),
+                                 use_cache=False)
         except ServerOverloadedError as exc:
             with shed_counter["lock"]:
                 shed_counter["sheds"] += 1
@@ -134,12 +152,17 @@ def _burst(server_url, shed_counter):
         except ReproError:
             pass
 
-    threads = [threading.Thread(target=one_shot)
-               for _ in range(BURST_THREADS)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    install_store_faults(server_store,
+                         FaultPlan([slow(BURST_STATEMENT_DELAY_S)]))
+    try:
+        threads = [threading.Thread(target=one_shot)
+                   for _ in range(BURST_THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        uninstall_faults(server_store)
 
 
 def run_experiment(tmp_dir):
@@ -178,7 +201,8 @@ def run_experiment(tmp_dir):
                     scrapes["router_blackout"] = \
                         router.registry.render_prometheus()
                 if index and index % BURST_EVERY == 0:
-                    _burst(server.url, shed_counter)
+                    _burst(server.url, primary_service.store("social"),
+                           shed_counter)
 
             generator = TrafficGenerator(
                 TRAFFIC, {"social": graphs["social"].nodes()})

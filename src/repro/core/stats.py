@@ -11,6 +11,8 @@ collect exactly those quantities.
 
 from __future__ import annotations
 
+import threading
+
 from repro.obs import now as _now
 from collections import defaultdict
 from contextlib import contextmanager
@@ -165,9 +167,9 @@ class BatchStats:
         per_graph: graph name -> number of queries routed to it.
         per_method: resolved method name -> number of queries.
         concurrency: worker threads the batch ran with (``1`` = serial).
-        single_flight_hits: queries that piggybacked on an identical
-            in-flight query instead of executing (parallel batches only),
-            plus batch-local duplicates replayed from a leader's answer.
+        single_flight_hits: queries answered by an identical batch member's
+            execution instead of executing — while it was in flight, or
+            afterwards when the result cache is off.
         queue_time: summed seconds queries spent waiting for a pooled
             store connection (can exceed ``total_time`` across workers).
         execute_time: summed seconds queries spent actually executing
@@ -200,10 +202,19 @@ class BatchStats:
     shared_frontier_queries: int = 0
     deadline_exceeded: int = 0
 
+    _lock = threading.Lock()  # unannotated: a class attribute, not a field
+
     @property
     def hit_rate(self) -> float:
         """Fraction of the batch served from the result cache."""
         return self.cache_hits / self.total if self.total else 0.0
+
+    def add(self, **counts: float) -> None:
+        """Bump the named counters atomically — parallel batch workers
+        all count into one object."""
+        with self._lock:
+            for name, delta in counts.items():
+                setattr(self, name, getattr(self, name) + delta)
 
     def merge(self, other: "BatchStats") -> "BatchStats":
         """Fold ``other``'s counters into this object (and return it).

@@ -154,17 +154,6 @@ class Graph:
         costs = [c for t, c in self._out.get(fid, ()) if t == tid]
         return min(costs) if costs else None
 
-    def min_edge_weight(self) -> float:
-        """Return ``w_min``, the minimal edge weight of the graph.
-
-        The paper's iteration bounds (Theorems 2 and 3) are expressed in terms
-        of this quantity.  Raises :class:`ValueError` on an edge-less graph.
-        """
-        weights = [cost for adjacency in self._out.values() for _, cost in adjacency]
-        if not weights:
-            raise ValueError("graph has no edges; w_min is undefined")
-        return min(weights)
-
     def _require_node(self, nid: int) -> None:
         if nid not in self._nodes:
             raise NodeNotFoundError(f"node {nid} is not in the graph")

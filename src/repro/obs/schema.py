@@ -19,10 +19,7 @@ from typing import Dict
 
 __all__ = [
     "ALL_METRIC_NAMES",
-    "STATS_SCHEMA_VERSION",
 ]
-
-STATS_SCHEMA_VERSION = 1
 
 # -- query execution (PathService / Executor) --------------------------
 METRIC_QUERIES = "repro_queries_total"                    # counter {graph,kind,method,backend}

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from typing import (
     AsyncIterator,
     List,
@@ -71,13 +72,17 @@ class _AsyncFacade:
         return await loop.run_in_executor(self._pool, fn, *args)
 
     async def _stream(self, specs: Sequence[QuerySpec],
-                      answer_one, raise_on_unreachable: bool
+                      shortest_path, raise_on_unreachable: bool
                       ) -> AsyncIterator[Tuple[int, Optional[PathResult]]]:
-        """Yield ``(input index, result)`` pairs in completion order."""
+        """Yield ``(input index, result)`` pairs in completion order.
+
+        Every :class:`QuerySpec` field is a keyword of the wrapped sync
+        ``shortest_path``, so each query is forwarded whole — kind, hop
+        budget and time budget included."""
 
         async def one(index: int, spec: QuerySpec):
             try:
-                return index, await self._run(answer_one, spec)
+                return index, await self._run(shortest_path, **asdict(spec))
             except PathNotFoundError:
                 if raise_on_unreachable:
                     raise
@@ -158,13 +163,8 @@ class AsyncPathService(_AsyncFacade):
         """
         specs = normalize_queries(queries, graph=graph, method=method,
                                   sql_style=sql_style)
-        return self._stream(
-            specs,
-            lambda spec: self.service.shortest_path(
-                spec.source, spec.target, graph=spec.graph,
-                method=spec.method, sql_style=spec.sql_style,
-                max_iterations=spec.max_iterations),
-            raise_on_unreachable)
+        return self._stream(specs, self.service.shortest_path,
+                            raise_on_unreachable)
 
     async def gather(self, queries: Sequence["BatchQuery"],
                      graph: str = "default", method: str = "auto",
@@ -222,13 +222,8 @@ class AsyncShardRouter(_AsyncFacade):
         from repro.shard.router import DEFAULT_GRAPH
         specs = normalize_queries(queries, graph=graph or DEFAULT_GRAPH,
                                   method=method, sql_style=sql_style)
-        return self._stream(
-            specs,
-            lambda spec: self.router.shortest_path(
-                spec.source, spec.target, graph=spec.graph,
-                method=spec.method, sql_style=spec.sql_style,
-                max_iterations=spec.max_iterations),
-            raise_on_unreachable)
+        return self._stream(specs, self.router.shortest_path,
+                            raise_on_unreachable)
 
     async def scatter(self, queries: Sequence["BatchQuery"],
                       graph: Optional[str] = None, method: str = "auto",

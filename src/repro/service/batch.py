@@ -2,9 +2,10 @@
 
 :func:`execute_batch` normalizes heterogeneous query descriptions into
 :class:`~repro.service.planner.QuerySpec` objects, plans them all up front
-(so malformed queries fail before any work), executes them in input order
-against each graph's already-open store, answers duplicates from the
-service's LRU result cache, and reports aggregate
+(so malformed queries fail before any work), hands every member to the
+:class:`~repro.service.executor.Executor` — which answers each through
+the same per-query path as a single ``shortest_path`` call, inline or
+across worker threads — and reports aggregate
 :class:`~repro.core.stats.BatchStats`.
 
 This is also the per-shard execution unit of the shard router: a
@@ -19,27 +20,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
-    Hashable,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     TYPE_CHECKING,
     Union,
 )
 
+from repro.core.multi import OneToManyResult
 from repro.core.path import PathResult
 from repro.core.sqlstyle import NSQL
 from repro.core.stats import BatchStats
-from repro.errors import (
-    DeadlineExceededError,
-    InvalidQueryError,
-    PathNotFoundError,
-    ReproError,
-)
+from repro.errors import InvalidQueryError, ReproError
 from repro.obs import timer
-from repro.obs.schema import METRIC_BATCHES, METRIC_SINGLE_FLIGHT
+from repro.obs.schema import METRIC_BATCHES
+from repro.service.executor import Executor
 from repro.service.planner import AUTO_METHOD, KIND_PATH, QueryPlan, QuerySpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -143,13 +139,13 @@ def normalize_queries(queries: Sequence["BatchQuery"], graph: str,
     return specs
 
 
-def _execute_shared_groups(service: "PathService",
-                           specs: Sequence[QuerySpec],
-                           plans: Sequence[QueryPlan],
-                           batch: BatchResult, force: bool,
-                           checkout_timeout: Optional[float]
-                           ) -> Tuple[Set[int], Dict[int, PathNotFoundError]]:
-    """Answer eligible same-source groups with one shared DJ frontier each.
+def _run_shared_frontiers(service: "PathService",
+                          specs: Sequence[QuerySpec],
+                          plans: Sequence[QueryPlan],
+                          stats: BatchStats, force: bool,
+                          checkout_timeout: Optional[float]
+                          ) -> Dict[int, OneToManyResult]:
+    """Run one shared DJ frontier per eligible same-source group.
 
     Eligible members are plain ``path``-kind, uncapped, ``method="auto"``
     queries (explicit methods keep their per-pair semantics — a shared run
@@ -160,13 +156,10 @@ def _execute_shared_groups(service: "PathService",
     one DJ frontier undercuts the sum of the members' per-pair plans.
 
     Shared answers are bit-identical to per-pair ``method="DJ"`` runs (see
-    :func:`repro.core.multi.dijkstra_one_to_many`), are fed into the
-    result cache individually, and count one ``executed`` per group.
-
-    Returns ``(answered_indices, deferred_errors)``: the input positions
-    this pass answered (the main loop must skip them), and the
-    unreachable members' errors keyed by position so
-    ``raise_on_unreachable`` can still surface the smallest-index failure.
+    :func:`repro.core.multi.dijkstra_one_to_many`) and count one
+    ``executed`` per group.  Returns input position -> its group's run;
+    the executor records each member's answer (cache fill included)
+    through the per-query path.
     """
     groups: Dict[Tuple[str, int, str], List[int]] = {}
     for index, spec in enumerate(specs):
@@ -180,15 +173,10 @@ def _execute_shared_groups(service: "PathService",
             continue
         groups.setdefault((spec.graph, spec.source, spec.sql_style),
                           []).append(index)
-    answered: Set[int] = set()
-    deferred: Dict[int, PathNotFoundError] = {}
+    shared: Dict[int, OneToManyResult] = {}
     for (graph, source, style), indices in groups.items():
-        pending = []
-        for i in indices:
-            key = service._cache_key(plans[i])
-            if key is not None and service._cache.peek(key) is not None:
-                continue  # answerable from cache; leave it to the main loop
-            pending.append(i)
+        # Members the cache can already answer are left to it.
+        pending = [i for i in indices if not service._cached(plans[i])]
         if len({specs[i].target for i in pending}) < 2:
             continue
         if not force:
@@ -209,33 +197,11 @@ def _execute_shared_groups(service: "PathService",
         one = service.one_to_many(
             source, [specs[i].target for i in pending], graph=graph,
             sql_style=style, checkout_timeout=checkout_timeout)
-        batch.stats.executed += 1
-        batch.stats.shared_frontier_groups += 1
-        batch.stats.shared_frontier_queries += len(pending)
-        seen_keys: Set[Hashable] = set()
-        for i in pending:
-            answered.add(i)
-            target = specs[i].target
-            key = service._cache_key(plans[i])
-            result = one[target]
-            if result is None:
-                batch.stats.not_found += 1
-                error = PathNotFoundError(
-                    f"no path from {source} to {target}")
-                if key is not None:
-                    service._cache.put_negative(key, str(error))
-                deferred[i] = error
-                continue
-            if key is not None:
-                if key in seen_keys:
-                    batch.stats.cache_hits += 1
-                    batch.from_cache[i] = True
-                else:
-                    seen_keys.add(key)
-                    service._cache.put(key, result)
-                    batch.stats.cache_misses += 1
-            batch.results[i] = service._copy_result(result)
-    return answered, deferred
+        stats.executed += 1
+        stats.shared_frontier_groups += 1
+        stats.shared_frontier_queries += len(pending)
+        shared.update((i, one) for i in pending)
+    return shared
 
 
 def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
@@ -250,16 +216,14 @@ def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
                   ) -> BatchResult:
     """Answer ``queries`` against ``service`` and aggregate statistics.
 
-    Queries are planned up front (so malformed specs fail before any work)
-    and answered in input order.  With ``concurrency=1`` they execute
-    serially on each graph's primary store — semantics identical to PR 1.
-    With ``concurrency=N`` they run across N worker threads (see
-    :class:`~repro.service.executor.Executor`): each graph's store pool is
-    grown on demand, every worker checks a connection out per query, and
-    identical in-flight queries collapse onto a single execution.  Either
-    way, duplicate ``(graph, source, target, method)`` pairs hit the
-    service's shared LRU cache, and ``results[i]`` always answers
-    ``queries[i]``.
+    Queries are planned up front (so malformed specs fail before any work),
+    then every member runs the service's one per-query path (see
+    :class:`~repro.service.executor.Executor`): ``concurrency=1`` answers
+    them inline in input order; ``concurrency=N`` spreads them over N
+    worker threads, growing each graph's store pool on demand.  Either
+    way a repeated query is answered by the service's shared LRU cache or
+    by the batch's single-flight instead of running again, and
+    ``results[i]`` always answers ``queries[i]``.
 
     Args:
         service: the hosting :class:`PathService`.
@@ -272,16 +236,16 @@ def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
             first unreachable pair; a parallel batch finishes its workers,
             then raises the unreachable failure with the smallest input
             index.)
-        concurrency: worker-thread count (``1`` = serial).
-        checkout_timeout: parallel batches only — per-query bound, in
-            seconds, on waiting for a pooled store connection.
+        concurrency: worker-thread count (``1`` = inline, no threads).
+        checkout_timeout: per-query bound, in seconds, on waiting for a
+            pooled store connection.
         plans: pre-computed :class:`QueryPlan` objects, one per
             normalized query in order (``plans[i]`` must plan
             ``queries[i]``).  The shard router passes the plans from its
             fail-fast validation pass so a scattered slice is not
             planned twice; omit to plan here.
         share_frontier: one-to-many execution for same-source groups of
-            plain ``path`` queries (see :func:`_execute_shared_groups`):
+            plain ``path`` queries (see :func:`_run_shared_frontiers`):
             ``False`` (default) keeps per-pair execution, ``"auto"``
             shares a group only when the cost model prices one shared DJ
             frontier below the group's per-pair plans, ``True`` shares
@@ -318,7 +282,7 @@ def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
                         from_cache=[False] * len(specs),
                         errors=[None] * len(specs))
     batch.stats.total = len(specs)
-    evictions_before = service._cache.stats().evictions
+    evictions_before = service.cache_info().evictions
 
     if plans is None:
         plans = [service.plan(spec) for spec in specs]
@@ -335,70 +299,15 @@ def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
             batch.stats.per_method.get(plan.method, 0) + 1
         )
 
-    answered: Set[int] = set()
-    deferred: Dict[int, PathNotFoundError] = {}
-    if share_frontier:
-        answered, deferred = _execute_shared_groups(
-            service, specs, plans, batch, force=share_frontier is True,
-            checkout_timeout=checkout_timeout)
+    shared = (_run_shared_frontiers(service, specs, plans, batch.stats,
+                                    force=share_frontier is True,
+                                    checkout_timeout=checkout_timeout)
+              if share_frontier else None)
+    Executor(service, concurrency, checkout_timeout=checkout_timeout).run(
+        plans, batch, raise_on_unreachable=raise_on_unreachable,
+        shared=shared)
 
-    if concurrency > 1 and len(plans) > 1:
-        from repro.service.executor import Executor
-        Executor(service, concurrency,
-                 checkout_timeout=checkout_timeout).run(
-            plans, batch, raise_on_unreachable=raise_on_unreachable,
-            skip=answered,
-            seed_errors=deferred if raise_on_unreachable else None)
-    else:
-        # Batch-local replay for duplicate uncapped pairs the result cache
-        # cannot serve (cache disabled): the first occurrence executes,
-        # repeats replay its outcome and count as single-flight hits.
-        local_results: Dict[Tuple, Optional[PathResult]] = {}
-        for index, plan in enumerate(plans):
-            if index in answered:
-                # Walked in input order, so an unreachable shared member
-                # still surfaces at the right position.
-                if raise_on_unreachable and index in deferred:
-                    raise deferred[index]
-                continue
-            spec = plan.spec
-            dedup_key = None
-            if (spec.max_iterations is None and spec.timeout_s is None
-                    and service._cache_key(plan) is None):
-                dedup_key = (spec.graph, spec.source, spec.target,
-                             plan.method, spec.sql_style, spec.kind,
-                             spec.max_hops)
-                if dedup_key in local_results:
-                    earlier = local_results[dedup_key]
-                    batch.stats.single_flight_hits += 1
-                    service._registry.counter(METRIC_SINGLE_FLIGHT).inc()
-                    if earlier is None:
-                        batch.stats.not_found += 1
-                    else:
-                        batch.from_cache[index] = True
-                        batch.results[index] = service._copy_result(earlier)
-                    continue
-            hits_before = batch.stats.cache_hits
-            try:
-                batch.results[index] = service._execute(
-                    plan, batch_stats=batch.stats)
-            except PathNotFoundError:
-                if raise_on_unreachable:
-                    raise
-                batch.stats.not_found += 1
-                if dedup_key is not None:
-                    local_results[dedup_key] = None
-            except DeadlineExceededError as exc:
-                # A member's budget ran out: report it at its own position
-                # and keep going — one slow query must not fail the batch.
-                batch.stats.deadline_exceeded += 1
-                batch.errors[index] = exc
-            else:
-                if dedup_key is not None:
-                    local_results[dedup_key] = batch.results[index]
-            batch.from_cache[index] = batch.stats.cache_hits > hits_before
-
-    batch.stats.evictions = (service._cache.stats().evictions
+    batch.stats.evictions = (service.cache_info().evictions
                              - evictions_before)
     batch.stats.total_time = elapsed.seconds
     mode = "parallel" if concurrency > 1 and len(plans) > 1 else "serial"

@@ -403,7 +403,11 @@ class InFlightMap:
 
     :meth:`lease` either registers the caller as the leader of a new flight
     (it must later call :meth:`resolve` or :meth:`fail` — use
-    ``try/finally``) or hands back an existing flight to wait on.
+    ``try/finally``) or hands back an existing flight to wait on.  A
+    finished flight is vacated, so the next lease of its key leads anew —
+    unless the leader finishes it with ``keep=True``: then every later
+    lease joins the finished flight and replays its outcome (how a batch
+    answers duplicates when no result cache will remember the answer).
     """
 
     def __init__(self) -> None:
@@ -420,17 +424,19 @@ class InFlightMap:
             self._flights[key] = flight
             return flight, True
 
-    def resolve(self, key: CacheKey, result: PathResult) -> None:
+    def resolve(self, key: CacheKey, result: PathResult,
+                keep: bool = False) -> None:
         """Leader-only: publish ``result`` and wake every follower."""
-        self._pop(key)._finish(result, None)
+        self._finished(key, keep)._finish(result, None)
 
-    def fail(self, key: CacheKey, error: BaseException) -> None:
+    def fail(self, key: CacheKey, error: BaseException,
+             keep: bool = False) -> None:
         """Leader-only: publish ``error`` and wake every follower."""
-        self._pop(key)._finish(None, error)
+        self._finished(key, keep)._finish(None, error)
 
-    def _pop(self, key: CacheKey) -> Flight:
+    def _finished(self, key: CacheKey, keep: bool) -> Flight:
         with self._lock:
-            return self._flights.pop(key)
+            return self._flights[key] if keep else self._flights.pop(key)
 
 
 __all__ = ["CacheKey", "CacheStats", "Flight", "InFlightMap", "ResultCache",

@@ -1,59 +1,57 @@
-"""Parallel batch execution over per-graph store pools.
+"""Batch execution: every member through the one per-query path.
 
 The paper's operators are independent across source/target pairs, so a
 batch of shortest-path queries is embarrassingly parallel — the only shared
 mutable state is each graph's store, which :class:`~repro.service.pool.StorePool`
-multiplies into per-worker reader connections.  :class:`Executor` runs one
-planned batch across a worker-thread pool:
+multiplies into per-worker reader connections.  :class:`Executor` answers
+one planned batch by handing each member to the service's per-query path
+(:meth:`PathService._answer <repro.service.session.PathService>` — the
+same code a single ``shortest_path`` call runs):
 
-* **order preservation** — workers write into ``results[index]`` slots, so
-  the output order is the input order no matter how execution interleaves;
-* **per-query pool checkout** — a worker borrows a store only for the
-  duration of one query, so a 64-query batch over a 4-member pool keeps
-  all 4 members saturated;
-* **single-flight dedup** — identical queries that are *currently
-  executing* collapse onto one leader via
-  :class:`~repro.service.cache.InFlightMap`; followers receive the
-  leader's result without touching a store (the LRU cache only helps once
-  a result is finished).  Flight keys are the service's cache keys, so
-  they carry the hosting shard's identity (``shard_id``) and can never
-  collide across the shards of a :class:`repro.shard.ShardRouter`;
+* **one path, two fan-outs** — ``concurrency=1`` answers the members
+  inline, in input order, with no thread pool; ``concurrency=N`` hands
+  them to N worker threads.  Nothing else differs;
+* **order preservation** — each member's answer lands in its own
+  ``results[index]`` slot, so the output order is the input order no
+  matter how execution interleaves;
+* **per-query pool checkout** — a member borrows a store only for the
+  duration of its run, so a 64-query batch over a 4-member pool keeps all
+  4 members saturated;
+* **single-flight dedup** — identical members share one batch-wide
+  :class:`~repro.service.cache.InFlightMap`: the first executes, the rest
+  receive its answer without touching a store — while it is in flight
+  and, when the result cache is off, afterwards too.  Flight keys carry
+  the hosting shard's identity (``shard_id``), so they can never collide
+  across the shards of a :class:`repro.shard.ShardRouter`;
 * **timings** — waiting-for-a-store seconds and executing seconds are
-  summed into the batch's extended
-  :class:`~repro.core.stats.BatchStats` (``queue_time`` /
-  ``execute_time``), alongside wall-clock ``total_time``.
-
-Serial semantics stay bit-identical: ``concurrency=1`` batches never enter
-this module (see :func:`repro.service.batch.execute_batch`).
+  summed into the batch's :class:`~repro.core.stats.BatchStats`
+  (``queue_time`` / ``execute_time``), alongside wall-clock
+  ``total_time``.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import AbstractSet, Dict, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Mapping, Optional, Sequence, TYPE_CHECKING
 
-from repro.errors import (
-    ConcurrencyError,
-    DeadlineExceededError,
-    PathNotFoundError,
-)
-from repro.obs.schema import METRIC_SINGLE_FLIGHT
+from repro.errors import DeadlineExceededError, PathNotFoundError
 from repro.service.cache import InFlightMap
 from repro.service.planner import QueryPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.multi import OneToManyResult
     from repro.service.batch import BatchResult
     from repro.service.session import PathService
 
 
 class Executor:
-    """Runs one planned batch across ``concurrency`` worker threads.
+    """Answers one planned batch, inline or across worker threads.
 
     Args:
         service: the hosting :class:`~repro.service.session.PathService`.
-        concurrency: worker-thread count; each graph's pool is grown (up
-            to its backend's capability) to match before execution starts.
+        concurrency: worker-thread count (``1`` = inline, no threads);
+            each graph's pool is grown (up to its backend's capability)
+            to match before execution starts.
         checkout_timeout: per-query bound, in seconds, on waiting for a
             pooled store (``None`` waits indefinitely); exceeding it raises
             :class:`~repro.errors.PoolTimeoutError` out of the batch.
@@ -66,154 +64,78 @@ class Executor:
         self._service = service
         self._concurrency = concurrency
         self._checkout_timeout = checkout_timeout
-        self._inflight = InFlightMap()
-        self._lock = threading.Lock()
+        self._flights = InFlightMap()
         self._errors: Dict[int, BaseException] = {}
 
     def run(self, plans: Sequence[QueryPlan], batch: "BatchResult",
             raise_on_unreachable: bool = False,
-            skip: Optional[AbstractSet[int]] = None,
-            seed_errors: Optional[Dict[int, BaseException]] = None) -> None:
-        """Execute ``plans`` and fill ``batch`` in place (results,
-        ``from_cache`` flags, and stats counters).
+            shared: Optional[Mapping[int, "OneToManyResult"]] = None) -> None:
+        """Answer ``plans`` and fill ``batch`` in place (results,
+        ``from_cache`` flags, errors and stats counters).
 
-        The first failure *by input position* is re-raised after every
-        worker finishes — unlike the serial path, later queries still run,
-        but the surfaced exception is deterministic.
+        The first failure *by input position* is re-raised once the batch
+        is done.  Inline, the batch stops as soon as that failure is
+        decided (every remaining position comes after it); worker threads
+        all finish first.
 
         Args:
-            skip: input positions already answered by an earlier pass
-                (the batch layer's shared-frontier groups); no worker runs
-                them.
-            seed_errors: failures from that earlier pass, keyed by input
-                position — merged into the error map so the surfaced
-                exception is still the smallest-index failure overall.
+            shared: input position -> the batch's shared-frontier run
+                that already answered it (see
+                :func:`repro.service.batch.execute_batch`).  Those members
+                are recorded first, inline; they execute nothing.
         """
-        service = self._service
-        if seed_errors:
-            self._errors.update(seed_errors)
-        indices = (list(range(len(plans))) if not skip
-                   else [i for i in range(len(plans)) if i not in skip])
-        if not indices:
-            if self._errors:
-                raise self._errors[min(self._errors)]
-            return
-        for name in {plans[i].spec.graph for i in indices}:
-            service._host(name).pool.resize(self._concurrency)
-        workers = max(1, min(self._concurrency, len(indices)))
-        batch.stats.concurrency = workers
         self._raise_on_unreachable = raise_on_unreachable
-        with ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="repro-batch") as threads:
-            futures = [threads.submit(self._run_one, index, plans[index],
-                                      batch)
-                       for index in indices]
-            wait(futures)
-        for future in futures:
-            # Worker bodies catch everything into self._errors; a raise here
-            # would be a bug in the executor itself — surface it.
-            future.result()
+        shared = shared or {}
+        for index in sorted(shared):
+            self._run_one(index, plans[index], batch, shared[index])
+        indices = [i for i in range(len(plans)) if i not in shared]
+        workers = min(self._concurrency, len(indices))
+        if workers > 1:
+            service = self._service
+            for name in {plans[i].spec.graph for i in indices}:
+                service._host(name).pool.resize(self._concurrency)
+            batch.stats.concurrency = workers
+            with ThreadPoolExecutor(
+                    max_workers=workers,
+                    thread_name_prefix="repro-batch") as threads:
+                futures = [threads.submit(self._run_one, index,
+                                          plans[index], batch)
+                           for index in indices]
+                wait(futures)
+            for future in futures:
+                # Worker bodies catch everything into self._errors; a raise
+                # here would be a bug in the executor itself — surface it.
+                future.result()
+        else:
+            for index in indices:
+                if self._errors and min(self._errors) < index:
+                    break
+                self._run_one(index, plans[index], batch)
         if self._errors:
             raise self._errors[min(self._errors)]
 
-    # -- one query ---------------------------------------------------------------
-
-    def _run_one(self, index: int, plan: QueryPlan,
-                 batch: "BatchResult") -> None:
+    def _run_one(self, index: int, plan: QueryPlan, batch: "BatchResult",
+                 shared: Optional["OneToManyResult"] = None) -> None:
+        """Answer one member into its slot; never raises (failures are
+        counted, placed positionally, or kept for :meth:`run`)."""
         try:
-            self._answer(index, plan, batch)
+            result, replayed = self._service._answer(
+                plan, stats=batch.stats, flights=self._flights,
+                shared=shared, checkout_timeout=self._checkout_timeout)
         except PathNotFoundError as exc:
-            with self._lock:
-                batch.stats.not_found += 1
-                if self._raise_on_unreachable:
-                    self._errors[index] = exc
-        except DeadlineExceededError as exc:
-            # Positional, like the serial path: the expired query reports
-            # at its own index and its siblings finish normally.
-            with self._lock:
-                batch.stats.deadline_exceeded += 1
-                batch.errors[index] = exc
-        except BaseException as exc:  # surfaced after the batch drains
-            with self._lock:
+            batch.stats.add(not_found=1)
+            if self._raise_on_unreachable:
                 self._errors[index] = exc
-
-    def _answer(self, index: int, plan: QueryPlan,
-                batch: "BatchResult") -> None:
-        service = self._service
-        key = service._cache_key(plan)
-        if key is not None:
-            # Result copies happen OUTSIDE the executor lock throughout:
-            # the source object is immutable once published, and copying a
-            # long path under the one batch-wide mutex would serialize all
-            # workers on the handout hot path.
-            cached = service._cache.get(key)
-            if cached is not None:
-                copied = service._copy_result(cached)
-                with self._lock:
-                    batch.stats.cache_hits += 1
-                    batch.from_cache[index] = True
-                    batch.results[index] = copied
-                return
-            verdict = service._cache.get_negative(key)
-            if verdict is not None:
-                # Known-unreachable pair: skip the store entirely (the
-                # serial path does the same inside service._execute).
-                with self._lock:
-                    batch.stats.negative_hits += 1
-                raise PathNotFoundError(verdict)
-            flight, leader = self._inflight.lease(key)
-            if not leader:
-                result = flight.wait()  # re-raises the leader's error
-                copied = service._copy_result(result)
-                service._registry.counter(METRIC_SINGLE_FLIGHT).inc()
-                with self._lock:
-                    batch.stats.single_flight_hits += 1
-                    batch.from_cache[index] = True
-                    batch.results[index] = copied
-                return
-            # Double-check the cache now that we hold the flight: a previous
-            # leader may have resolved (and vacated) this key between our
-            # miss above and the lease, and its result is in the cache.
-            # peek() keeps the counters untouched — this query's lookup was
-            # already counted as a miss above.
-            cached = service._cache.peek(key)
-            if cached is not None:
-                self._inflight.resolve(key, cached)
-                copied = service._copy_result(cached)
-                with self._lock:
-                    batch.stats.cache_hits += 1
-                    batch.from_cache[index] = True
-                    batch.results[index] = copied
-                return
-        try:
-            result, queued, executed = service._run_timed(
-                plan, checkout_timeout=self._checkout_timeout)
-        except BaseException as exc:
-            if key is not None:
-                if isinstance(exc, PathNotFoundError):
-                    service._cache.put_negative(key, str(exc))
-                self._inflight.fail(key, exc)
-            # Serial parity: unreachable pairs still ran a full search and
-            # count as executed.  Pool failures (timeout, closed) happen
-            # *before* any store was obtained, so they do not.
-            if not isinstance(exc, ConcurrencyError):
-                with self._lock:
-                    batch.stats.executed += 1
-            raise
-        if key is not None:
-            service._cache.put(key, result)
-            self._inflight.resolve(key, result)
-            handout = service._copy_result(result)
+        except DeadlineExceededError as exc:
+            # The expired query reports at its own position; its siblings
+            # finish normally.
+            batch.stats.add(deadline_exceeded=1)
+            batch.errors[index] = exc
+        except BaseException as exc:  # surfaced once the batch is done
+            self._errors[index] = exc
         else:
-            handout = result
-        with self._lock:
-            batch.stats.executed += 1
-            batch.stats.queue_time += queued
-            batch.stats.execute_time += executed
-            if key is not None:
-                batch.stats.cache_misses += 1
-            batch.results[index] = handout
+            batch.results[index] = result
+            batch.from_cache[index] = replayed
 
 
 __all__ = ["Executor"]

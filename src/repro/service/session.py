@@ -33,10 +33,12 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import (
     Dict,
     Hashable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -65,6 +67,7 @@ from repro.core.stats import BatchStats, QueryStats, SegTableBuildStats
 from repro.core.store.base import GraphStore, IndexMode
 from repro.core.store.registry import create_store, is_dsn
 from repro.errors import (
+    ConcurrencyError,
     DeadlineExceededError,
     DuplicateGraphError,
     FingerprintMismatchError,
@@ -87,6 +90,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; the catalog package is
     # module while initializing).
     from repro.catalog.catalog import Catalog
     from repro.serve.aio import AsyncPathService
+    from repro.service.pool import _Lease
 from repro.memory.bidirectional import bidirectional_dijkstra as _memory_bidirectional
 from repro.memory.dijkstra import dijkstra_shortest_path as _memory_dijkstra
 from repro.obs import MetricsRegistry, Tracer, record_span, timer, wall_time
@@ -98,8 +102,9 @@ from repro.obs.schema import (
     METRIC_QUERIES,
     METRIC_QUERY_LATENCY,
     METRIC_QUERY_QUEUE,
+    METRIC_SINGLE_FLIGHT,
 )
-from repro.service.cache import CacheStats, ResultCache
+from repro.service.cache import CacheStats, InFlightMap, ResultCache
 from repro.service.costmodel import CostModel, CostProfile, host_fingerprint
 from repro.service.pool import PoolStats, StorePool
 from repro.service.planner import (
@@ -117,19 +122,34 @@ BatchQuery = Union[QuerySpec, Tuple[int, int], Tuple[str, int, int],
                    Tuple[str, int, int, str], Dict[str, object]]
 
 
-def _clamp_checkout(checkout_timeout: Optional[float],
-                    deadline: Optional[float]) -> Optional[float]:
-    """Bound a pool-checkout wait by the query's remaining budget, so a
-    budgeted query can never sit in the checkout queue past its deadline.
-    An already-expired budget raises here, before touching the pool."""
-    if deadline is None:
-        return checkout_timeout
-    check_deadline(deadline, "store checkout")
-    budget = remaining_budget(deadline)
-    assert budget is not None
-    if checkout_timeout is None:
-        return budget
-    return min(checkout_timeout, budget)
+@contextmanager
+def _leased(pool: StorePool, checkout_timeout: Optional[float],
+            deadline: Optional[float]) -> Iterator[_Lease]:
+    """Hold one pooled store for a run; yields the entered lease
+    (``.store``, ``.queue_seconds``).
+
+    The checkout wait is bounded by the query's remaining budget, so a
+    budgeted query never sits in the queue past its deadline: an
+    already-expired budget raises before touching the pool, and a
+    checkout timeout the budget caused surfaces as the
+    :class:`DeadlineExceededError` it is, like every other expiry site.
+    """
+    if deadline is not None:
+        check_deadline(deadline, "store checkout")
+        budget = remaining_budget(deadline)
+        assert budget is not None
+        checkout_timeout = (budget if checkout_timeout is None
+                            else min(checkout_timeout, budget))
+    lease = pool.lease(checkout_timeout)
+    try:
+        lease.__enter__()
+    except PoolTimeoutError:
+        check_deadline(deadline, "store checkout")
+        raise
+    try:
+        yield lease
+    finally:
+        lease.__exit__(None, None, None)
 
 
 def run_in_memory(graph: Graph, source: int, target: int,
@@ -918,8 +938,8 @@ class PathService:
             return plan
         with timer() as planned:
             executable = self.plan(spec)
-        result = self._execute(executable, use_cache=False,
-                               plan_seconds=planned.seconds)
+        result, _ = self._answer(executable, use_cache=False,
+                                 plan_seconds=planned.seconds)
         return replace(plan, trace=result.trace)
 
     # -- queries -----------------------------------------------------------------
@@ -961,8 +981,9 @@ class PathService:
                          timeout_s=timeout_s)
         with timer() as planned:
             plan = self.plan(spec)
-        return self._execute(plan, use_cache=use_cache,
-                             plan_seconds=planned.seconds)
+        result, _ = self._answer(plan, use_cache=use_cache,
+                                 plan_seconds=planned.seconds)
+        return result
 
     def one_to_many(self, source: int, targets: Sequence[int],
                     graph: str = DEFAULT_GRAPH, sql_style: str = NSQL,
@@ -993,19 +1014,11 @@ class PathService:
                 )
         assert host.pool is not None
         deadline = deadline_from_timeout(timeout_s)
-        checkout_timeout = _clamp_checkout(checkout_timeout, deadline)
-        lease = host.pool.lease(checkout_timeout)
-        try:
-            with lease as store:
-                return dijkstra_one_to_many(store, source, list(targets),
-                                            sql_style=sql_style,
-                                            max_iterations=max_iterations,
-                                            deadline=deadline)
-        except PoolTimeoutError:
-            # The budget, not the caller's own checkout bound, expired
-            # while waiting for a store: that is a deadline outcome.
-            check_deadline(deadline, "store checkout")
-            raise
+        with _leased(host.pool, checkout_timeout, deadline) as lease:
+            return dijkstra_one_to_many(lease.store, source, list(targets),
+                                        sql_style=sql_style,
+                                        max_iterations=max_iterations,
+                                        deadline=deadline)
 
     def shortest_path_many(self, queries: Sequence[BatchQuery],
                            graph: str = DEFAULT_GRAPH, method: str = "auto",
@@ -1018,11 +1031,11 @@ class PathService:
         """Answer a batch of queries; see
         :func:`repro.service.batch.execute_batch` for the full contract.
 
-        ``concurrency=1`` (the default) executes serially with semantics
-        bit-identical to PR 1; ``concurrency=N`` runs the batch across N
-        worker threads, growing each touched graph's store pool on demand
-        (capability permitting) and deduplicating identical in-flight
-        queries.  Results are in input order either way.
+        ``concurrency=1`` (the default) answers the queries one after
+        another in input order; ``concurrency=N`` runs the same per-query
+        path across N worker threads, growing each touched graph's store
+        pool on demand (capability permitting).  Either way identical
+        queries execute once, and results are in input order.
 
         ``share_frontier`` turns on one-to-many execution for same-source
         groups of plain ``path`` queries: ``"auto"`` shares a group only
@@ -1126,35 +1139,51 @@ class PathService:
                     f"node {nid} is not in graph {host.name!r}"
                 )
 
-    def _cache_key(self, plan: QueryPlan) -> Optional[Tuple[Hashable, ...]]:
-        """Result-cache (and single-flight) key of a planned query.
+    def _query_key(self, plan: QueryPlan) -> Optional[Tuple[Hashable, ...]]:
+        """Result-cache and single-flight key of a planned query, or
+        ``None`` when its answer must never be reused: capped runs may
+        return partial work, budgeted runs may be cut short.
 
         The graph name stays first — :meth:`ResultCache.invalidate_graph`
         matches on it — and the hosting shard's identity is appended last,
         making every cached result and in-flight lease shard-aware (see
         the ``shard_id`` constructor argument).
         """
-        if self._cache.capacity == 0:
-            return None  # caching disabled; don't report phantom misses
         spec = plan.spec
-        if spec.max_iterations is not None:
-            return None  # capped runs may return partial work; never cache
-        if spec.timeout_s is not None:
-            return None  # budgeted runs may be cut short; never cache
+        if spec.max_iterations is not None or spec.timeout_s is not None:
+            return None
         return (spec.graph, spec.source, spec.target, plan.method,
                 spec.sql_style, spec.kind, spec.max_hops, self.shard_id)
 
-    def _execute(self, plan: QueryPlan, use_cache: bool = True,
-                 batch_stats: Optional[BatchStats] = None,
-                 plan_seconds: Optional[float] = None) -> PathResult:
-        """Run a planned query, consulting and feeding the result cache
-        (positive and negative).
+    def _cached(self, plan: QueryPlan) -> bool:
+        """Whether the result cache already holds ``plan``'s answer (an
+        uncounted peek: the lookup proper happens in :meth:`_answer`)."""
+        key = self._query_key(plan)
+        return key is not None and self._cache.peek(key) is not None
+
+    def _answer(self, plan: QueryPlan, *, use_cache: bool = True,
+                stats: Optional[BatchStats] = None,
+                flights: Optional[InFlightMap] = None,
+                shared: Optional[OneToManyResult] = None,
+                checkout_timeout: Optional[float] = None,
+                plan_seconds: Optional[float] = None
+                ) -> Tuple[PathResult, bool]:
+        """Answer one planned query — the only code that does, for single
+        queries, ``explain(analyze=True)`` and every batch member alike.
+
+        Returns ``(result, replayed)``: ``replayed`` is ``True`` when the
+        answer came from the result cache or an identical batch member
+        rather than from an execution here.  ``stats``, ``flights`` and
+        ``shared`` come from a batch (see
+        :class:`~repro.service.executor.Executor`): the counters to bump,
+        the batch's single-flight, and a shared-frontier run that already
+        answered this query's target.
 
         Opens a ``query`` trace span: the root of a fresh trace when no
-        span is ambient (a direct ``shortest_path`` call), or a child
-        when an outer layer — the shard router, ``explain(analyze=True)``
-        — already traces this query.  Whoever owns the root attaches the
-        finished tree to ``result.trace``."""
+        span is ambient (a direct ``shortest_path`` call, a batch
+        worker), or a child when an outer layer — the shard router,
+        ``explain(analyze=True)`` — already traces this query.  Whoever
+        owns the root attaches the finished tree to ``result.trace``."""
         spec = plan.spec
         with self._tracer.span("query", graph=spec.graph, source=spec.source,
                                target=spec.target, kind=spec.kind,
@@ -1162,22 +1191,31 @@ class PathService:
                                shard=self.shard_id) as query_span:
             if plan_seconds is not None:
                 query_span.record("plan", plan_seconds, method=plan.method)
-            result = self._execute_inner(plan, use_cache, batch_stats)
+            result, replayed = self._lookup_or_run(
+                plan, use_cache, stats, flights, shared, checkout_timeout)
             if query_span.trace is not None:
                 result.trace = query_span.trace
-        return result
+        return result, replayed
 
-    def _execute_inner(self, plan: QueryPlan, use_cache: bool,
-                       batch_stats: Optional[BatchStats]) -> PathResult:
-        key = self._cache_key(plan) if use_cache else None
+    def _lookup_or_run(self, plan: QueryPlan, use_cache: bool,
+                       stats: Optional[BatchStats],
+                       flights: Optional[InFlightMap],
+                       shared: Optional[OneToManyResult],
+                       checkout_timeout: Optional[float]
+                       ) -> Tuple[PathResult, bool]:
+        """:meth:`_answer`'s body: cache lookup → single-flight → run →
+        cache fill and flight resolution → counting."""
+        query_key = self._query_key(plan)
+        # A disabled cache gets no key, so it reports no phantom misses.
+        key = query_key if use_cache and self._cache.capacity else None
         if key is not None:
             with obs_span("cache.lookup") as cache_span:
                 cached = self._cache.get(key)
                 if cached is not None:
                     cache_span.tag(outcome="hit")
-                    if batch_stats is not None:
-                        batch_stats.cache_hits += 1
-                    return self._copy_result(cached)
+                    if stats is not None:
+                        stats.add(cache_hits=1)
+                    return self._copy_result(cached), True
                 verdict = self._cache.get_negative(key)
                 if verdict is not None:
                     # A remembered unreachable pair: skip the full
@@ -1185,33 +1223,70 @@ class PathService:
                     # recompute — it runs to exhaustion precisely because
                     # no path exists).
                     cache_span.tag(outcome="negative_hit")
-                    if batch_stats is not None:
-                        batch_stats.negative_hits += 1
+                    if stats is not None:
+                        stats.add(negative_hits=1)
                     raise PathNotFoundError(verdict)
                 cache_span.tag(outcome="miss")
+        leading = False
+        if flights is not None and query_key is not None:
+            flight, leading = flights.lease(query_key)
+            if not leading:
+                self._registry.counter(METRIC_SINGLE_FLIGHT).inc()
+                if stats is not None:
+                    stats.add(single_flight_hits=1)
+                # wait() re-raises the leader's error, if it failed.
+                return self._copy_result(flight.wait()), True
+            cached = None if key is None else self._cache.peek(key)
+            if cached is not None:
+                # A previous leader filled the cache and vacated this key
+                # between our miss and the lease.  peek() leaves the
+                # counters alone: the lookup above already counted a miss.
+                flights.resolve(query_key, cached)
+                if stats is not None:
+                    stats.add(cache_hits=1)
+                return self._copy_result(cached), True
+        # With no cache to remember the outcome, the finished flight stays
+        # for the rest of the batch so later duplicates replay it.
+        keep = key is None
         try:
-            result = self._run(plan)
-        except PathNotFoundError as exc:
-            if key is not None:
+            if shared is None:
+                result, queued, ran = self._run_timed(plan, checkout_timeout)
+            else:
+                result = shared[plan.spec.target]
+                if result is None:
+                    raise PathNotFoundError(f"no path from {plan.spec.source} "
+                                            f"to {plan.spec.target}")
+        except BaseException as exc:
+            if isinstance(exc, PathNotFoundError) and key is not None:
                 self._cache.put_negative(key, str(exc))
+            elif isinstance(exc, DeadlineExceededError):
+                self._registry.counter(
+                    METRIC_DEADLINE_EXCEEDED, {"graph": plan.spec.graph},
+                    help="Queries whose time budget ran out mid-flight").inc()
+            if leading:
+                flights.fail(query_key, exc, keep=keep)
+            # An unreachable pair still ran a full search; a pool failure
+            # happened before any store was obtained, so nothing ran.
+            if (stats is not None and shared is None
+                    and not isinstance(exc, ConcurrencyError)):
+                stats.add(executed=1)
             raise
-        except DeadlineExceededError:
-            self._registry.counter(
-                METRIC_DEADLINE_EXCEEDED, {"graph": plan.spec.graph},
-                help="Queries whose time budget ran out mid-flight").inc()
-            raise
-        finally:
-            # Unreachable pairs still ran a full search against the store.
-            if batch_stats is not None:
-                batch_stats.executed += 1
         if key is not None:
             self._cache.put(key, result)
-            if batch_stats is not None:
-                batch_stats.cache_misses += 1
-            # Hand out a copy here too: the cache keeps the pristine
-            # original, immune to caller mutation.
-            return self._copy_result(result)
-        return result
+        if leading:
+            flights.resolve(query_key, result, keep=keep)
+        if stats is not None:
+            misses = 0 if key is None else 1
+            if shared is None:  # a shared run counted its one execution
+                stats.add(executed=1, cache_misses=misses,
+                          queue_time=queued, execute_time=ran)
+            else:
+                stats.add(cache_misses=misses)
+        # The cache (or the kept flight) holds the pristine original;
+        # the caller gets a copy it may mutate.
+        if key is not None or leading:
+            return self._copy_result(result), False
+        return result, False
 
     @staticmethod
     def _copy_result(result: PathResult) -> PathResult:
@@ -1229,10 +1304,6 @@ class PathService:
         return replace(result, path=list(result.path), stats=stats,
                        trace=None)
 
-    def _run(self, plan: QueryPlan) -> PathResult:
-        result, _, _ = self._run_timed(plan)
-        return result
-
     def _run_timed(self, plan: QueryPlan,
                    checkout_timeout: Optional[float] = None
                    ) -> Tuple[PathResult, float, float]:
@@ -1240,8 +1311,7 @@ class PathService:
 
         Returns ``(result, queue_seconds, execute_seconds)`` — how long the
         query waited for a store and how long it actually ran.  With an
-        all-idle pool (every serial call) the checkout is an uncontended
-        lock acquire, so serial behaviour is unchanged.
+        all-idle pool the checkout is an uncontended lock acquire.
         """
         spec = plan.spec
         host = self._host(spec.graph)
@@ -1260,27 +1330,16 @@ class PathService:
             self._publish_query(plan, 0.0, ran.seconds)
             return result, 0.0, ran.seconds
         assert host.pool is not None
-        checkout_timeout = _clamp_checkout(checkout_timeout, deadline)
-        lease = host.pool.lease(checkout_timeout)
         with obs_span("execute", method=plan.method,
                       sql_style=spec.sql_style) as exec_span:
-            try:
-                entered = lease.__enter__()
-            except PoolTimeoutError:
-                # The budget (not a caller's own checkout bound) ran out
-                # in the checkout queue: report it as the deadline outcome
-                # it is, so every expiry site raises the same type.
-                check_deadline(deadline, "store checkout")
-                raise
-            try:
-                store = entered
-                record_span("pool.checkout", lease.queue_seconds,
-                            graph=spec.graph)
+            with _leased(host.pool, checkout_timeout, deadline) as lease:
+                queued = lease.queue_seconds
+                record_span("pool.checkout", queued, graph=spec.graph)
                 with timer() as ran:
                     try:
                         if plan.method in (METHOD_HOPS, METHOD_REACH):
                             result = hop_limited_search(
-                                store, spec.source, spec.target,
+                                lease.store, spec.source, spec.target,
                                 sql_style=spec.sql_style,
                                 max_hops=spec.max_hops,
                                 max_iterations=spec.max_iterations,
@@ -1289,16 +1348,13 @@ class PathService:
                         else:
                             algorithm = RELATIONAL_METHODS[plan.method]
                             result = algorithm(
-                                store, spec.source, spec.target,
+                                lease.store, spec.source, spec.target,
                                 sql_style=spec.sql_style,
                                 max_iterations=spec.max_iterations,
                                 deadline=deadline)
                     except PathNotFoundError:
-                        self._note_not_found(plan, lease.queue_seconds,
-                                             ran.seconds)
+                        self._note_not_found(plan, queued, ran.seconds)
                         raise
-            finally:
-                lease.__exit__(None, None, None)
             executed = ran.seconds
             if result.stats is not None:
                 exec_span.tag(statements=result.stats.statements,
@@ -1308,8 +1364,8 @@ class PathService:
         self._observe(plan, host, executed)
         if result.stats is not None:
             result.stats.predicted_seconds = plan.predicted_seconds
-        self._publish_query(plan, lease.queue_seconds, executed)
-        return result, lease.queue_seconds, executed
+        self._publish_query(plan, queued, executed)
+        return result, queued, executed
 
     def _note_not_found(self, plan: QueryPlan, queued: float,
                         executed: float) -> None:
@@ -1324,9 +1380,9 @@ class PathService:
                        executed: float) -> None:
         """Publish one executed query into the metrics registry — counts,
         latency/queue histograms, and the planner's predicted-vs-actual
-        cost error.  Runs on every execution path (serial, parallel batch,
-        shared frontier leaders), so registry histogram counts equal the
-        number of queries that actually ran."""
+        cost error.  Runs on every execution (single queries and batch
+        members alike), so registry histogram counts equal the number of
+        queries that actually ran."""
         spec = plan.spec
         registry = self._registry
         # The backend label separates embedded engines from client-server

@@ -101,13 +101,6 @@ class TestGraphAccess:
     def test_edge_cost_missing(self, graph):
         assert graph.edge_cost(2, 1) is None
 
-    def test_min_edge_weight(self, graph):
-        assert graph.min_edge_weight() == 1.0
-
-    def test_min_edge_weight_empty_raises(self):
-        with pytest.raises(ValueError):
-            Graph().min_edge_weight()
-
     def test_contains(self, graph):
         assert 1 in graph
         assert 99 not in graph

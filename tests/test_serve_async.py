@@ -6,12 +6,42 @@ import os
 
 import pytest
 
-from repro.errors import PathNotFoundError, UnknownGraphError
-from repro.graph.generators import grid_graph, power_law_graph
+from repro.errors import (
+    DeadlineExceededError,
+    PathNotFoundError,
+    UnknownGraphError,
+)
+from repro.graph.generators import grid_graph, path_graph, power_law_graph
 from repro.graph.model import Graph
 from repro.serve.aio import AsyncPathService, AsyncShardRouter
-from repro.service import PathService
+from repro.service import PathService, QuerySpec
 from repro.shard import ShardRouter
+
+# Queries whose answers depend on the QuerySpec fields beyond the pair:
+# on this weighted path graph the hop kinds answer a hop count (5), the
+# default weighted search a different distance.
+FIELD_QUERIES = [
+    {"source": 0, "target": 5, "kind": "reachability"},
+    {"source": 0, "target": 5, "kind": "bounded_hop", "max_hops": 5},
+    {"source": 0, "target": 5},
+]
+
+
+def _answers(results):
+    return [(r.stats.method, r.distance, tuple(r.path)) for r in results]
+
+
+def _streamed(owner, queries, **kwargs):
+    """Stream ``queries`` through ``owner.as_async()``; input order."""
+    async def go():
+        got = {}
+        async with owner.as_async() as aio:
+            async for index, result in aio.shortest_path_many(queries,
+                                                              **kwargs):
+                got[index] = result
+        return [got[i] for i in range(len(queries))]
+
+    return asyncio.run(go())
 
 
 def _seed_catalog(catalog_dir, graphs):
@@ -128,6 +158,17 @@ class TestAsyncPathService:
         shapes = {_shape(r) for r in results}
         assert len(shapes) == 1  # all eight awaited the same answer
 
+    def test_stream_forwards_every_query_field(self):
+        with PathService() as svc:
+            svc.add_graph("default", path_graph(6, weight_range=(1, 5),
+                                                seed=3))
+            expected = _answers(svc.shortest_path_many(FIELD_QUERIES))
+            assert expected[0][:2] == ("REACH", 5.0)
+            assert _answers(_streamed(svc, FIELD_QUERIES)) == expected
+            expired = [QuerySpec(source=0, target=5, timeout_s=1e-9)]
+            with pytest.raises(DeadlineExceededError):
+                _streamed(svc, expired)
+
 
 class TestAsyncShardRouter:
     @pytest.fixture
@@ -167,6 +208,17 @@ class TestAsyncShardRouter:
             return [got[i] for i in range(len(queries))]
 
         assert asyncio.run(go()) == expected
+
+    def test_stream_forwards_every_query_field(self, tmp_path):
+        catalog = str(tmp_path / "p")
+        _seed_catalog(catalog, {"p": path_graph(6, weight_range=(1, 5),
+                                                seed=3)})
+        with ShardRouter.open([catalog]) as router:
+            expected = _answers(
+                router.shortest_path_many(FIELD_QUERIES, graph="p").results)
+            assert expected[0][:2] == ("REACH", 5.0)
+            assert _answers(_streamed(router, FIELD_QUERIES,
+                                      graph="p")) == expected
 
     def test_scatter_returns_the_full_scatter_result(self, router):
         queries = [("alpha", 0, 10), ("gamma", 0, 24)]

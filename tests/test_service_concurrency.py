@@ -3,6 +3,7 @@ dedup, capability clamping through the service, error paths, and the
 thread-safety of the shared result cache."""
 
 import random
+import sys
 import threading
 import time
 
@@ -142,19 +143,40 @@ class TestSingleFlightAndStats:
             assert answered_without_executing == 31
             assert batch.from_cache.count(True) == 31
 
-    def test_timing_counters_populated(self):
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_timing_counters_populated(self, concurrency):
         graph = random_graph(100, avg_degree=3.0, seed=51)
         queries = _random_queries(graph, 16, seed=52)
         with PathService(cache_size=0) as service:
             service.add_graph("g", graph)
             batch = service.shortest_path_many(queries, graph="g",
-                                               concurrency=4)
+                                               concurrency=concurrency)
             assert batch.stats.execute_time > 0.0
             assert batch.stats.queue_time >= 0.0
             as_dict = batch.stats.as_dict()
             for field in ("concurrency", "single_flight_hits", "queue_time_s",
                           "execute_time_s"):
                 assert field in as_dict
+
+    def test_counters_reconcile_under_thread_switch_pressure(self):
+        # Workers count into one BatchStats: a lost update would leave
+        # some answered query uncounted.
+        graph = path_graph(12, weight_range=(1, 1))
+        queries = [(i % 4, 11 - i % 3) for i in range(96)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with PathService() as service:
+                service.add_graph("g", graph)
+                batch = service.shortest_path_many(queries, graph="g",
+                                                   concurrency=8)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = batch.stats
+        assert stats.executed == 12  # one per distinct pair
+        assert (stats.executed + stats.cache_hits
+                + stats.single_flight_hits) == len(queries)
+        assert batch.from_cache.count(True) == len(queries) - 12
 
     def test_parallel_does_not_inflate_cache_counters(self):
         graph = path_graph(10, weight_range=(1, 1))
