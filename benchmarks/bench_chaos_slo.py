@@ -183,7 +183,6 @@ def run_experiment(tmp_dir):
     try:
         specs = [
             ShardSpec(name=remote_name, catalog_path=server.url,
-                      transport="remote",
                       service_options={"retries": 2,
                                        "backoff_seed": BACKOFF_SEED}),
             ShardSpec(name="replica", catalog_path=replica_catalog),

@@ -1,39 +1,28 @@
-"""Networked shard serving: wire protocol, server, client, transports.
+"""Networked shard serving: wire protocol, server, client, transport.
 
-Importing this package registers the ``"remote"`` shard transport, so::
+A shard server exposes one warm-started
+:class:`~repro.service.session.PathService` over HTTP; a router reaches it
+through the :class:`RemoteTransport`, which
+:meth:`~repro.shard.spec.ShardSpec.open` picks for any ``http(s)://``
+shard address, so::
 
-    import repro.serve  # registers "remote"
     router = ShardRouter.open(
         catalog_paths=["catalogs/a", "http://10.0.0.7:8155"])
 
-mixes an in-process shard with a networked one behind the same router —
-:meth:`ShardSpec.open` also performs this import on demand when it meets
-an unregistered transport name, so specs built first still work.
+mixes an in-process shard with a networked one behind the same router.
 
 Run a shard server with ``python -m repro.serve --catalog catalogs/a``.
 """
 
 from __future__ import annotations
 
-from repro.serve.aio import AsyncPathService, AsyncShardRouter
 from repro.serve.client import ShardClient
 from repro.serve.protocol import PROTOCOL_VERSION
 from repro.serve.server import ShardServer
 from repro.serve.transport import RemoteTransport
-from repro.shard.spec import (
-    REMOTE_TRANSPORT,
-    available_transports,
-    register_transport,
-)
-
-if REMOTE_TRANSPORT not in available_transports():
-    register_transport(REMOTE_TRANSPORT, RemoteTransport)
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "REMOTE_TRANSPORT",
-    "AsyncPathService",
-    "AsyncShardRouter",
     "RemoteTransport",
     "ShardClient",
     "ShardServer",

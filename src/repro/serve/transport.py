@@ -1,8 +1,8 @@
-"""The ``"remote"`` shard transport: a networked shard behind the router.
+"""The remote shard transport: a networked shard behind the router.
 
-Registered beside ``"inprocess"`` when :mod:`repro.serve` is imported, so
-one :class:`~repro.shard.router.ShardRouter` mixes local and networked
-shards transparently::
+:meth:`~repro.shard.spec.ShardSpec.open` picks it for any ``http(s)://``
+shard address, so one :class:`~repro.shard.router.ShardRouter` mixes
+local and networked shards transparently::
 
     router = ShardRouter.open(
         catalog_paths=["catalogs/a", "http://10.0.0.7:8155"])
@@ -33,7 +33,7 @@ from repro.serve.client import (
     DEFAULT_TIMEOUT,
     ShardClient,
 )
-from repro.shard.spec import ShardSpec, ShardTransport, is_shard_url
+from repro.shard.spec import ShardSpec, ShardTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.manifest import CatalogEntry
@@ -47,9 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class RemoteTransport(ShardTransport):
     """A shard reached over the serve wire protocol.
 
-    The spec's ``catalog_path`` is the server's base URL (or pass it as
-    ``service_options["url"]`` when the spec keeps a filesystem path for
-    bookkeeping).  Connecting probes ``/health`` once, so a dead address
+    The spec's ``catalog_path`` is the server's base URL.  Connecting
+    probes ``/health`` once, so a dead address
     fails at :meth:`ShardSpec.open` time — connection refused at open is
     an immediate :class:`~repro.errors.ShardUnavailableError`, not a
     latent batch failure.
@@ -58,16 +57,9 @@ class RemoteTransport(ShardTransport):
     def __init__(self, spec: ShardSpec, strict: bool = True) -> None:
         super().__init__(spec)
         options = dict(spec.service_options)
-        url = str(options.pop("url", "") or spec.catalog_path)
-        if not is_shard_url(url):
-            raise ShardError(
-                f"remote shard {spec.name!r} needs an http(s):// URL; got "
-                f"{url!r} (put it in catalog_path or "
-                f"service_options['url'])"
-            )
         seed = options.pop("backoff_seed", None)
         self._client = ShardClient(
-            url,
+            spec.catalog_path,
             timeout=float(options.pop("timeout", DEFAULT_TIMEOUT)),
             retries=int(options.pop("retries", DEFAULT_RETRIES)),
             backoff_seed=None if seed is None else int(seed))  # type: ignore[arg-type]
@@ -75,7 +67,7 @@ class RemoteTransport(ShardTransport):
             raise ShardError(
                 f"remote shard {spec.name!r} got unsupported service "
                 f"options {tuple(sorted(options))}; the remote transport "
-                f"accepts 'url', 'timeout', 'retries', and 'backoff_seed' "
+                f"accepts 'timeout', 'retries', and 'backoff_seed' "
                 f"— service knobs belong to the server process"
             )
         # strict has no remote meaning (the server already warm-started);
@@ -96,7 +88,7 @@ class RemoteTransport(ShardTransport):
         raise ShardError(
             f"shard {self.spec.name!r} is remote ({self._client.url}); it "
             f"has no in-process service — full data moves and pool "
-            f"inspection need an inprocess transport"
+            f"inspection need an in-process shard"
         )
 
     def close(self) -> None:

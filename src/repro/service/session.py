@@ -88,7 +88,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; the catalog package is
     # imported lazily at runtime (it pulls in repro.core, which imports this
     # module while initializing).
     from repro.catalog.catalog import Catalog
-    from repro.serve.aio import AsyncPathService
     from repro.service.pool import _Lease
 from repro.memory.bidirectional import bidirectional_dijkstra as _memory_bidirectional
 from repro.memory.dijkstra import dijkstra_shortest_path as _memory_dijkstra
@@ -1073,15 +1072,6 @@ class PathService:
     def clear_cache(self) -> None:
         """Drop every cached result."""
         self._cache.clear()
-
-    # -- async front end ---------------------------------------------------------
-
-    def as_async(self, max_workers: int = 8) -> "AsyncPathService":
-        """An ``await``-able facade over this service (see
-        :class:`repro.serve.aio.AsyncPathService`).  The facade borrows
-        the service: close each independently."""
-        from repro.serve.aio import AsyncPathService
-        return AsyncPathService(self, max_workers=max_workers)
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -6,12 +6,13 @@ package scales the *service* across nodes' worth of graphs.  A
 using each shard's persistent-catalog manifest (PR 3) as its routing
 table:
 
-* :class:`~repro.shard.spec.ShardSpec` names a shard and its catalog; the
-  **transport seam** (:class:`~repro.shard.spec.ShardTransport`,
-  :func:`~repro.shard.spec.register_transport`) keeps the router agnostic
-  about whether a shard is in-process (``"inprocess"``) or networked
-  (``"remote"`` — registered by :mod:`repro.serve`, speaking the serve
-  wire protocol to a ``python -m repro.serve`` process);
+* :class:`~repro.shard.spec.ShardSpec` names a shard and its address; the
+  **transport seam** (:class:`~repro.shard.spec.ShardTransport`) keeps
+  the router agnostic about whether a shard is in-process (a catalog
+  directory, :class:`~repro.shard.spec.InProcessTransport`) or networked
+  (an ``http(s)://`` URL, :class:`~repro.serve.transport.RemoteTransport`
+  speaking the serve wire protocol to a ``python -m repro.serve``
+  process) — the address alone picks the transport;
 * :mod:`repro.shard.routing` derives the graph → shard
   :class:`~repro.shard.routing.RoutingTable` from manifests alone,
   resolving same-fingerprint replicas deterministically and **refusing**
@@ -19,14 +20,15 @@ table:
   (:class:`~repro.errors.ShardConflictError`);
 * :meth:`ShardRouter.shortest_path` routes transparently;
   :meth:`ShardRouter.shortest_path_many` **scatter-gathers** — slices a
-  mixed-graph batch by owner, fans slices out concurrently through each
-  shard's transport, and merges answers in input order with per-shard
+  mixed-graph batch by graph, fans slices out concurrently through each
+  owning shard's transport, and merges answers in input order with per-shard
   :class:`~repro.core.stats.BatchStats` rolled into a
   :class:`~repro.shard.stats.RouterStats`;
 * identical-fingerprint **replicas** are live fallbacks: a shard failing
   at the transport level is routed around (bounded retry, exponential
-  cooldown), with per-replica error accounting on the batch's
-  ``RouterStats`` and the router's
+  cooldown) by one re-route rule that single queries, ``explain`` and
+  every per-graph scatter slice share, with per-replica error accounting
+  on the batch's ``RouterStats`` and the router's
   :meth:`~repro.shard.router.ShardRouter.shard_health`;
 * :meth:`ShardRouter.move` rebalances: the database file (SegTable
   included) is snapshotted into the target catalog via the store
@@ -51,21 +53,15 @@ from repro.shard.routing import (
     routing_table_from_catalogs,
 )
 from repro.shard.spec import (
-    INPROCESS_TRANSPORT,
-    REMOTE_TRANSPORT,
     InProcessTransport,
     ShardSpec,
     ShardTransport,
-    available_transports,
     default_shard_name,
     is_shard_url,
-    register_transport,
 )
 from repro.shard.stats import RouterStats
 
 __all__ = [
-    "INPROCESS_TRANSPORT",
-    "REMOTE_TRANSPORT",
     "InProcessTransport",
     "Route",
     "RouterStats",
@@ -75,11 +71,9 @@ __all__ = [
     "ShardRouter",
     "ShardSpec",
     "ShardTransport",
-    "available_transports",
     "build_routing_table",
     "default_shard_name",
     "format_routing_table",
     "is_shard_url",
-    "register_transport",
     "routing_table_from_catalogs",
 ]

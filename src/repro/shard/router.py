@@ -1,8 +1,9 @@
 """The :class:`ShardRouter`: one query surface over many shards.
 
 A router partitions named graphs across multiple shard services — local
-(``"inprocess"``) or networked (``"remote"``, see :mod:`repro.serve`) —
-using each shard's catalog manifest as its routing table::
+(a catalog directory) or networked (an ``http(s)://`` shard server, see
+:mod:`repro.serve`) — using each shard's catalog manifest as its routing
+table::
 
     router = ShardRouter.open(
         catalog_paths=["catalogs/a", "http://10.0.0.7:8155"])
@@ -11,10 +12,10 @@ using each shard's catalog manifest as its routing table::
         [("social", 0, 42), ("roads", 3, 99)], concurrency=4)
 
 Single queries route transparently to the owning shard.  Batches are
-**scatter-gather**: the router splits a mixed-graph batch by owning shard,
-fans the slices out concurrently — each through the shard's transport, and
-on the shard through the service's existing executor/pool machinery — and
-merges the answers back in input order, with every shard's
+**scatter-gather**: the router splits a mixed-graph batch by graph, fans
+the slices out concurrently — each through its owning shard's transport,
+and on the shard through the service's existing executor/pool machinery —
+and merges the answers back in input order, with every shard's
 :class:`~repro.core.stats.BatchStats` kept (and rolled up) in a
 :class:`~repro.shard.stats.RouterStats`.
 
@@ -24,7 +25,10 @@ fails at the transport level (:class:`~repro.errors.ShardUnavailableError`
 — connection refused, timeout, died mid-request), the router marks it
 down for an exponentially growing cooldown and re-routes the affected
 queries to the next replica; because replicas host byte-identical graph
-content, the failover answer is bit-identical to the primary's.  Query
+content, the failover answer is bit-identical to the primary's.  One loop,
+:meth:`ShardRouter._failover`, is that rule for everything the router
+sends a shard: single queries, ``explain``, and each graph's scatter plan
+and execute calls.  Query
 errors (unknown graph, unreachable pair, ...) are *not* failover events —
 they propagate as themselves, as every replica would answer the same.
 
@@ -49,15 +53,15 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (
     Callable,
     Dict,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     TYPE_CHECKING,
     TypeVar,
@@ -94,7 +98,6 @@ from repro.service.cache import ResultCache
 from repro.service.planner import QueryPlan, QuerySpec
 from repro.shard.routing import Route, RoutingTable, build_routing_table
 from repro.shard.spec import (
-    REMOTE_TRANSPORT,
     ShardSpec,
     ShardTransport,
     default_shard_name,
@@ -103,7 +106,6 @@ from repro.shard.spec import (
 from repro.shard.stats import RouterStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serve.aio import AsyncShardRouter
     from repro.service.batch import BatchResult
     from repro.service.costmodel import CostProfile
     from repro.service.session import BatchQuery, PathService
@@ -302,7 +304,7 @@ class ShardRouter:
         Args:
             catalog_paths: one entry per shard — a catalog directory
                 (warm-started in this process) or an ``http(s)://`` shard
-                server URL (attached over the ``"remote"`` transport).
+                server URL (attached over the remote transport).
                 Shard names default to the directory basename or the
                 server's ``host:port``.
             specs: full :class:`ShardSpec` objects instead of
@@ -375,7 +377,6 @@ class ShardRouter:
                         options["retries"] = remote_retries
                     built.append(ShardSpec(
                         name=name, catalog_path=path,
-                        transport=REMOTE_TRANSPORT,
                         service_options=options))
                 else:
                     local_options = dict(service_options)
@@ -398,7 +399,7 @@ class ShardRouter:
             # Local shard services share the router's registry (unless a
             # spec pins its own); remote specs keep server-side registries.
             specs = [
-                spec if (spec.transport == REMOTE_TRANSPORT
+                spec if (is_shard_url(spec.catalog_path)
                          or "registry" in spec.service_options)
                 else replace(spec, service_options={
                     **spec.service_options, "registry": registry})
@@ -530,9 +531,24 @@ class ShardRouter:
                 report[name] = dict(document)
         return report
 
-    def _mark_failure(self, shard: str, exc: BaseException) -> None:
+    def _mark_failure(self, shard: str, exc: BaseException,
+                      stats: Optional[RouterStats] = None,
+                      failovers: int = 0) -> None:
+        """Count one transport failure of ``shard`` and open its breaker.
+
+        ``failovers`` is how many queries the failure re-routes to a
+        replica (``0`` when none is left).  ``stats`` — a batch's
+        :class:`RouterStats`, shared by its slice threads — gets the same
+        accounting, under the health lock.
+        """
         self._registry.counter(METRIC_SHARD_ERRORS, {"shard": shard}).inc()
+        if failovers:
+            self._registry.counter(METRIC_FAILOVERS,
+                                   {"shard": shard}).inc(failovers)
         with self._health_lock:
+            if stats is not None:
+                stats.record_error(shard)
+                stats.failovers += failovers
             health = self._health[shard]
             health.errors += 1
             health.consecutive_failures += 1
@@ -582,13 +598,6 @@ class ShardRouter:
             # query about to route here is the breaker's probe.
             self._set_breaker(name, BREAKER_HALF_OPEN)
         return up + down
-
-    def _next_candidate(self, graph: str,
-                        tried: Set[str]) -> Optional[str]:
-        for name in self._candidates(graph):
-            if name not in tried:
-                return name
-        return None
 
     # -- shared cross-shard cache ------------------------------------------------
 
@@ -690,18 +699,25 @@ class ShardRouter:
         return result
 
     def _failover(self, graph: str, call: Callable[[str], T],
-                  deadline: Optional[float] = None) -> Tuple[str, int, T]:
+                  deadline: Optional[float] = None, *, weight: int = 1,
+                  stats: Optional[RouterStats] = None
+                  ) -> Tuple[str, int, T]:
         """``call(shard)`` on ``graph``'s hosts in preference order (see
         :meth:`_candidates`) until one answers; returns ``(shard,
-        attempts, answer)``.
+        attempts, answer)``.  This is the router's only re-route rule.
 
         A transport failure (:class:`ShardUnavailableError`) marks the
-        shard down and moves on to the next replica.  Anything else is
-        the shard's answer — a :class:`PathNotFoundError` counts as a
-        healthy, timed reply — and propagates as itself, as every replica
-        would answer the same.  Once ``deadline`` has passed the router
-        stops failing over and raises :class:`DeadlineExceededError`
-        instead of shopping an expired query to the next replica.
+        shard down and moves on to the next replica, counting ``weight``
+        failovers — the number of queries riding on the call (a scatter
+        slice carries several) — into ``repro_failovers_total`` and, when
+        given, ``stats``; the last host's failure re-routes nothing and
+        counts none.  Anything else is the shard's answer — a
+        :class:`PathNotFoundError` counts as a healthy, timed reply — and
+        propagates as itself, as every replica would answer the same.
+        Once ``deadline`` has passed the router stops failing over and
+        raises :class:`DeadlineExceededError` instead of shopping an
+        expired query to the next replica.  Safe to run from several
+        threads at once.
         """
         last: Optional[ShardUnavailableError] = None
         candidates = self._candidates(graph)
@@ -712,11 +728,9 @@ class ShardRouter:
                 with timer() as took:
                     answer = call(shard)
             except ShardUnavailableError as exc:
-                self._mark_failure(shard, exc)
-                if position + 1 < len(candidates):
-                    # Another replica will be tried: this is a failover.
-                    self._registry.counter(METRIC_FAILOVERS,
-                                           {"shard": shard}).inc()
+                # Another replica will be tried only if one is left.
+                rerouted = weight if position + 1 < len(candidates) else 0
+                self._mark_failure(shard, exc, stats, rerouted)
                 last = exc
                 continue
             except PathNotFoundError:
@@ -756,16 +770,17 @@ class ShardRouter:
 
         The batch is normalized and validated up front (unknown graphs,
         unknown nodes, and malformed specs fail before any shard executes
-        anything), split by owning shard, and each non-empty slice runs as
-        one batch call on its shard's transport — concurrently across
-        shards, and with ``concurrency=N`` worker threads *inside* each
+        anything), split by graph, and each graph's slice runs as one
+        batch call on its owning shard's transport — concurrently across
+        slices, and with ``concurrency=N`` worker threads *inside* each
         shard on top.  ``results[i]`` always answers ``queries[i]``.
 
-        A slice whose shard fails at the transport level is re-routed to
-        the next identical-fingerprint replica (per-graph, bounded by the
-        replica count); the answers are bit-identical, the detour is
-        visible in ``stats.failovers`` / ``stats.per_shard_errors``, and
-        only when *every* host of a graph is down does the batch raise.
+        Each slice's plan and execute calls go through the same failover
+        loop as a single query: a shard failing at the transport level
+        hands the slice to the next identical-fingerprint replica; the
+        answers are bit-identical, the detour is visible in
+        ``stats.failovers`` / ``stats.per_shard_errors``, and only when
+        *every* host of a graph is down does the batch raise.
 
         Args:
             queries: the batch, in any of the forms
@@ -822,8 +837,9 @@ class ShardRouter:
         stats = scatter.stats
         # Owner resolution doubles as graph-name validation; the shared
         # cross-shard cache (when enabled) then answers what it can
-        # without touching any shard.
-        pending: List[int] = []
+        # without touching any shard, and the rest is grouped into one
+        # slice per graph.
+        slices: Dict[str, List[int]] = {}
         for index, spec in enumerate(specs):
             route = self._table.route(spec.graph)
             scatter.shard_of[index] = route.shard
@@ -833,150 +849,85 @@ class ShardRouter:
                 pass  # a remembered unreachable pair: the result stays None
             else:
                 if cached is None:
-                    pending.append(index)
+                    slices.setdefault(spec.graph, []).append(index)
                     continue
                 scatter.results[index] = cached
             scatter.from_cache[index] = True
             stats.shared_cache_hits += 1
 
         # Fail-fast validation: plan every pending spec — one transport
-        # round per shard, with per-graph failover — before a single
-        # query executes anywhere.  Library errors (unknown node, bad
-        # method) propagate immediately; the plans are handed to
+        # call per graph slice, failing over like any query — before a
+        # single query executes anywhere.  Library errors (unknown node,
+        # bad method) propagate immediately; the plans are handed to
         # in-process slices so they are not planned twice.
         plans: Dict[int, QueryPlan] = {}
-        assignment: Dict[str, str] = {}
-        tried: Dict[str, Set[str]] = {}
-        last_error: Dict[str, ShardUnavailableError] = {}
-        unassigned: List[str] = []
-        for index in pending:
-            name = specs[index].graph
-            if name not in assignment and name not in unassigned:
-                unassigned.append(name)
-        while unassigned:
-            groups: Dict[str, List[str]] = {}
-            for name in unassigned:
-                candidate = self._next_candidate(name, tried.get(name, set()))
-                if candidate is None:
-                    raise last_error[name]
-                groups.setdefault(candidate, []).append(name)
-            for shard, shard_graphs in groups.items():
-                members = set(shard_graphs)
-                indices = [i for i in pending
-                           if specs[i].graph in members and i not in plans]
-                try:
-                    slice_plans = self._transports[shard].plan_specs(
-                        [specs[i] for i in indices])
-                except ShardUnavailableError as exc:
-                    self._mark_failure(shard, exc)
-                    stats.record_error(shard)
-                    stats.failovers += len(indices)
-                    self._registry.counter(
-                        METRIC_FAILOVERS, {"shard": shard}).inc(len(indices))
-                    for name in shard_graphs:
-                        tried.setdefault(name, set()).add(shard)
-                        last_error[name] = exc
-                    continue
-                self._mark_success(shard)
-                for index, plan in zip(indices, slice_plans):
-                    plans[index] = plan
-                for name in shard_graphs:
-                    assignment[name] = shard
-            unassigned = [name for name in unassigned
-                          if name not in assignment]
+        for name, indices in slices.items():
+            todo = [specs[i] for i in indices]
+            _, _, slice_plans = self._failover(
+                name, lambda shard: self._transports[shard].plan_specs(todo),
+                weight=len(indices), stats=stats)
+            plans.update(zip(indices, slice_plans))
 
-        # Execution rounds: scatter the outstanding slices, re-routing a
-        # transport-failed slice's graphs to their next replica until
-        # everything is answered or some graph runs out of hosts.  The
-        # batch trace root collects one recorded span per slice run
-        # (workers lose the ambient context, so slices record onto the
-        # root explicitly).
+        # Execution: one thread per graph slice, each failing over on its
+        # own.  The batch trace root collects one recorded span per slice
+        # attempt (workers lose the ambient context, so slices record
+        # onto the root explicitly).
         with self._tracer.span("router.batch", queries=len(specs),
                                shards=len(self._transports)) as root:
-            outstanding: List[int] = list(pending)
-            while outstanding:
-                groups_by_shard: Dict[str, List[int]] = {}
-                for index in outstanding:
-                    shard = assignment[specs[index].graph]
-                    groups_by_shard.setdefault(shard, []).append(index)
 
-                def run_slice(shard: str, indices: List[int]) -> "BatchResult":
-                    took = timer()
-                    try:
-                        batch = self._transports[shard].execute_specs(
-                            [specs[i] for i in indices],
-                            concurrency=concurrency,
-                            checkout_timeout=checkout_timeout,
-                            plans=[plans[i] for i in indices],
-                            share_frontier=share_frontier)
-                    except BaseException as exc:
-                        root.record("router.slice", took.seconds, shard=shard,
-                                    queries=len(indices),
-                                    error=type(exc).__name__)
-                        raise
+            def execute(indices: List[int], shard: str) -> "BatchResult":
+                took = timer()
+                try:
+                    batch = self._transports[shard].execute_specs(
+                        [specs[i] for i in indices],
+                        concurrency=concurrency,
+                        checkout_timeout=checkout_timeout,
+                        plans=[plans[i] for i in indices],
+                        share_frontier=share_frontier)
+                except BaseException as exc:
                     root.record("router.slice", took.seconds, shard=shard,
-                                queries=len(indices))
-                    self._observe_shard(shard, took.seconds)
-                    return batch
+                                queries=len(indices),
+                                error=type(exc).__name__)
+                    raise
+                root.record("router.slice", took.seconds, shard=shard,
+                            queries=len(indices))
+                return batch
 
-                errors: Dict[int, BaseException] = {}
-                with ThreadPoolExecutor(
-                        max_workers=len(groups_by_shard),
-                        thread_name_prefix="repro-router") as pool:
-                    futures = {pool.submit(run_slice, shard, indices):
-                               (shard, indices)
-                               for shard, indices in groups_by_shard.items()}
-                    wait(list(futures))
-                answered: Set[int] = set()
-                for future, (shard, indices) in futures.items():
-                    try:
-                        batch = future.result()
-                    except ShardUnavailableError as exc:
-                        self._mark_failure(shard, exc)
-                        stats.record_error(shard)
-                        for name in {specs[i].graph for i in indices}:
-                            tried.setdefault(name, set()).add(shard)
-                            affected = [i for i in indices
-                                        if specs[i].graph == name]
-                            replica = self._next_candidate(name, tried[name])
-                            if replica is None:
-                                errors[min(affected)] = exc
-                                answered.update(affected)  # stop retrying
-                            else:
-                                assignment[name] = replica
-                                stats.failovers += len(affected)
-                                self._registry.counter(
-                                    METRIC_FAILOVERS,
-                                    {"shard": shard}).inc(len(affected))
-                        continue
-                    except BaseException as exc:
-                        # Non-transport failures are not failover events:
-                        # surfaced deterministically below, smallest input
-                        # index first.
-                        errors[indices[0]] = exc
-                        answered.update(indices)
-                        continue
-                    self._mark_success(shard)
-                    stats.record(shard, batch.stats)
-                    answered.update(indices)
-                    for local, global_index in enumerate(indices):
-                        result = batch.results[local]
-                        scatter.results[global_index] = result
-                        scatter.from_cache[global_index] = batch.from_cache[local]
-                        scatter.shard_of[global_index] = shard
-                        if batch.errors and local < len(batch.errors):
-                            scatter.errors[global_index] = batch.errors[local]
-                        spec = specs[global_index]
-                        key = self._shared_key(spec)
-                        if result is not None:
-                            self._answers.remember(key, result)
-                        else:
-                            self._answers.remember_unreachable(
-                                key, f"no path from {spec.source} to "
-                                     f"{spec.target} in graph {spec.graph!r}")
-                if errors:
-                    raise errors[min(errors)]
-                outstanding = [i for i in outstanding if i not in answered]
+            with ThreadPoolExecutor(
+                    max_workers=max(1, len(slices)),
+                    thread_name_prefix="repro-router") as pool:
+                futures = {
+                    pool.submit(self._failover, name,
+                                partial(execute, indices),
+                                weight=len(indices), stats=stats): indices
+                    for name, indices in slices.items()}
+            errors: Dict[int, BaseException] = {}
+            for future, indices in futures.items():
+                try:
+                    shard, _, batch = future.result()
+                except BaseException as exc:
+                    # Surfaced deterministically below, smallest input
+                    # index first.
+                    errors[indices[0]] = exc
+                    continue
+                stats.record(shard, batch.stats)
+                for local, global_index in enumerate(indices):
+                    result = batch.results[local]
+                    scatter.results[global_index] = result
+                    scatter.from_cache[global_index] = batch.from_cache[local]
+                    scatter.shard_of[global_index] = shard
+                    if batch.errors and local < len(batch.errors):
+                        scatter.errors[global_index] = batch.errors[local]
+                    spec = specs[global_index]
+                    key = self._shared_key(spec)
+                    if result is not None:
+                        self._answers.remember(key, result)
+                    else:
+                        self._answers.remember_unreachable(
+                            key, f"no path from {spec.source} to "
+                                 f"{spec.target} in graph {spec.graph!r}")
+            if errors:
+                raise errors[min(errors)]
 
         scatter.trace = root.trace
         stats.total_time = elapsed.seconds
@@ -1015,15 +966,6 @@ class ShardRouter:
                                       **probe_options)
             for name, transport in self._transports.items()
         }
-
-    # -- async front end ---------------------------------------------------------
-
-    def as_async(self, max_workers: int = 8) -> "AsyncShardRouter":
-        """An ``await``-able facade over this router (see
-        :class:`repro.serve.aio.AsyncShardRouter`).  The facade borrows
-        the router: close each independently."""
-        from repro.serve.aio import AsyncShardRouter
-        return AsyncShardRouter(self, max_workers=max_workers)
 
     # -- rebalancing -------------------------------------------------------------
 

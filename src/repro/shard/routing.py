@@ -40,8 +40,8 @@ class Route:
         stale: the owning entry is flagged stale (attaches will refuse
             until it is rebuilt).
         replicas: other shards listing the same name with an identical
-            fingerprint (deterministically *not* routed to; failover is a
-            future transport concern).
+            fingerprint (not routed to while the owner answers; tried in
+            order when it fails at the transport level).
     """
 
     graph: str

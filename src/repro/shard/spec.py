@@ -2,19 +2,15 @@
 
 A :class:`ShardSpec` names one shard and points at the catalog whose
 manifest is that shard's routing-table contribution.  *How* the shard's
-service is reached is the **transport**: ``"inprocess"`` warm-starts a
-:class:`~repro.service.session.PathService` right here via
-``PathService.open``; ``"remote"`` (registered on ``import repro.serve``)
-speaks the serve wire protocol to a shard server in another process.  The
-router talks to every shard exclusively through the
-:class:`ShardTransport` operation surface, so the two are
-interchangeable — including mixed within one router.
-
-The transport registry is open: :func:`register_transport` accepts
-third-party factories, and :meth:`ShardSpec.open` resolves the name *at
-open time* (not at spec construction), so a transport registered after
-the spec was built — the normal case for ``"remote"``, which rides in on
-the ``repro.serve`` import — still works.
+service is reached — the **transport** — follows from that address: a
+catalog directory opens an :class:`InProcessTransport`, which warm-starts
+a :class:`~repro.service.session.PathService` right here via
+``PathService.open``; an ``http(s)://`` URL opens a
+:class:`~repro.serve.transport.RemoteTransport`, which speaks the serve
+wire protocol to a shard server in another process.  The router talks to
+every shard exclusively through the :class:`ShardTransport` operation
+surface, so the two are interchangeable — including mixed within one
+router.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     List,
     Optional,
@@ -43,9 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.planner import QueryPlan, QuerySpec
     from repro.service.session import PathService
 
-INPROCESS_TRANSPORT = "inprocess"
-REMOTE_TRANSPORT = "remote"
-
 _URL_SCHEMES = ("http://", "https://")
 
 
@@ -64,12 +56,9 @@ class ShardSpec:
             catalog entries as the manifest ownership record and appended
             to the shard service's cache keys (``shard_id``).
         catalog_path: the shard's catalog directory — its manifest is the
-            slice of the routing table this shard contributes.  For the
-            ``"remote"`` transport this is the server's base URL
-            (``http://host:port``) instead.
-        transport: how the shard's service is reached (see
-            :func:`register_transport`).  Resolved when the spec is
-            *opened*, so transports registered after construction work.
+            slice of the routing table this shard contributes — or a shard
+            server's base URL (``http://host:port``) for a networked
+            shard.  The address picks the transport (see :meth:`open`).
         service_options: extra keyword arguments for the shard service
             (cache knobs, ``default_backend``, ...), applied by the
             transport when it opens the service.  The remote transport
@@ -78,7 +67,6 @@ class ShardSpec:
 
     name: str
     catalog_path: str
-    transport: str = INPROCESS_TRANSPORT
     service_options: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -89,21 +77,14 @@ class ShardSpec:
             )
 
     def open(self, strict: bool = True) -> "ShardTransport":
-        """Connect this shard through its transport.
-
-        The transport name is resolved against the registry *now* — if it
-        is unknown, ``repro.serve`` is imported once (it registers
-        ``"remote"`` as a side effect) before giving up, so specs built
-        before that import still open.
-
-        Raises:
-            ShardError: the transport name is not registered even after
-                the ``repro.serve`` fallback import.
-        """
-        factory = _TRANSPORTS.get(self.transport)
-        if factory is None:
-            factory = _resolve_late_transport(self.transport)
-        return factory(self, strict)
+        """Connect this shard: a :class:`RemoteTransport
+        <repro.serve.transport.RemoteTransport>` for an ``http(s)://``
+        ``catalog_path``, an :class:`InProcessTransport` otherwise."""
+        if is_shard_url(self.catalog_path):
+            # repro.serve imports this module; import it here, not above.
+            from repro.serve.transport import RemoteTransport
+            return RemoteTransport(self, strict)
+        return InProcessTransport(self, strict)
 
 
 class ShardTransport(ABC):
@@ -208,7 +189,6 @@ class ShardTransport(ABC):
         return {
             "status": "ok",
             "shard": self.spec.name,
-            "transport": self.spec.transport,
             "graphs": list(self.graphs()),
         }
 
@@ -233,55 +213,6 @@ class InProcessTransport(ShardTransport):
         self._service.close()
 
 
-TransportFactory = Callable[[ShardSpec, bool], ShardTransport]
-
-_TRANSPORTS: Dict[str, TransportFactory] = {}
-
-
-def register_transport(name: str, factory: TransportFactory,
-                       replace: bool = False) -> None:
-    """Register a shard transport under ``name``.
-
-    The factory is called as ``factory(spec, strict)`` and must return a
-    connected :class:`ShardTransport`.  Registering an existing name
-    raises unless ``replace=True``.
-    """
-    if name in _TRANSPORTS and not replace:
-        raise ShardError(
-            f"shard transport {name!r} is already registered; pass "
-            f"replace=True to overwrite it deliberately"
-        )
-    _TRANSPORTS[name] = factory
-
-
-def available_transports() -> tuple:
-    """Names of the registered shard transports, sorted."""
-    return tuple(sorted(_TRANSPORTS))
-
-
-def _resolve_late_transport(name: str) -> TransportFactory:
-    """Second-chance lookup for transports registered by deferred imports.
-
-    ``repro.serve`` registers ``"remote"`` when imported; a spec built
-    before that import must still open, so try the import here before
-    declaring the name unknown.
-    """
-    try:
-        import repro.serve  # noqa: F401  (registers "remote")
-    except ImportError:  # pragma: no cover - serve ships with the package
-        pass
-    factory = _TRANSPORTS.get(name)
-    if factory is None:
-        raise ShardError(
-            f"unknown shard transport {name!r}; registered "
-            f"transports: {available_transports()}"
-        )
-    return factory
-
-
-register_transport(INPROCESS_TRANSPORT, InProcessTransport)
-
-
 def default_shard_name(catalog_path: str) -> str:
     """The default name of the shard at ``catalog_path``: the catalog
     directory's basename (trailing separators ignored), or ``host:port``
@@ -294,13 +225,9 @@ def default_shard_name(catalog_path: str) -> str:
 
 
 __all__ = [
-    "INPROCESS_TRANSPORT",
-    "REMOTE_TRANSPORT",
     "InProcessTransport",
     "ShardSpec",
     "ShardTransport",
-    "available_transports",
     "default_shard_name",
     "is_shard_url",
-    "register_transport",
 ]

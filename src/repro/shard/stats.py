@@ -32,8 +32,8 @@ class RouterStats:
             shards run concurrently, so this is normally well below the
             sum of per-shard ``total_time``.
         per_shard: shard name → that shard's :class:`BatchStats`.  A shard
-            answering several slices (failover rounds) reports one merged
-            record.
+            answering several slices (one per graph it serves in the
+            batch, failovers included) reports one merged record.
         per_shard_errors: shard name → transport failures
             (:class:`~repro.errors.ShardUnavailableError`) that shard
             produced during this batch, whether or not a replica later

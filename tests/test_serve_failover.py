@@ -210,6 +210,9 @@ class TestServerDiesMidBatch:
                 router.shortest_path(0, 20, graph="rep")
             with pytest.raises(ShardUnavailableError):
                 router.shortest_path_many(BATCH)
+            # No replica existed, so nothing was re-routed: neither the
+            # single query nor the batch counts a failover.
+            assert router.registry.total(METRIC_FAILOVERS) == 0
 
 
 class TestSlowShard:

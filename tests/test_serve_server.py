@@ -1,4 +1,4 @@
-"""Tests for the shard server, its typed client, the ``"remote"``
+"""Tests for the shard server, its typed client, the remote
 transport, and the mixed local/remote router — including the
 bit-identical guarantee against a monolithic service."""
 
@@ -15,14 +15,9 @@ from repro.errors import (
     UnknownGraphError,
 )
 from repro.graph.generators import grid_graph, power_law_graph
-from repro.serve import ShardClient, ShardServer
+from repro.serve import RemoteTransport, ShardClient, ShardServer
 from repro.service import PathService
-from repro.shard import (
-    REMOTE_TRANSPORT,
-    ShardRouter,
-    ShardSpec,
-    available_transports,
-)
+from repro.shard import InProcessTransport, ShardRouter, ShardSpec
 from repro.service.planner import QuerySpec
 
 
@@ -56,11 +51,6 @@ def server(tmp_path):
     service = PathService.open(catalog, shard_id="srv")
     with ShardServer(service, port=0, own_service=True) as running:
         yield running
-
-
-class TestRemoteTransportRegistration:
-    def test_importing_serve_registers_remote(self):
-        assert REMOTE_TRANSPORT in available_transports()
 
 
 class TestShardClient:
@@ -233,22 +223,28 @@ class TestRemoteRouter:
 
 
 class TestRemoteSpecValidation:
-    def test_remote_spec_requires_url(self, tmp_path):
-        spec = ShardSpec(name="r", catalog_path=str(tmp_path),
-                         transport=REMOTE_TRANSPORT)
-        with pytest.raises(ShardError, match="http"):
-            spec.open()
+    def test_address_picks_the_transport(self, server, tmp_path):
+        catalog = str(tmp_path / "local")
+        _seed_catalog(catalog, {"gamma": GRAPHS["gamma"]})
+        remote = ShardSpec(name="r", catalog_path=server.url).open()
+        local = ShardSpec(name="l", catalog_path=catalog).open()
+        try:
+            assert isinstance(remote, RemoteTransport)
+            assert isinstance(local, InProcessTransport)
+            assert sorted(remote.graphs()) == ["alpha", "beta"]
+            assert local.graphs() == ("gamma",)
+        finally:
+            remote.close()
+            local.close()
 
     def test_remote_spec_rejects_service_knobs(self, server):
         spec = ShardSpec(name="r", catalog_path=server.url,
-                         transport=REMOTE_TRANSPORT,
                          service_options={"cache_size": 64})
         with pytest.raises(ShardError, match="unsupported service options"):
             spec.open()
 
     def test_remote_spec_accepts_client_knobs(self, server):
         spec = ShardSpec(name="r", catalog_path=server.url,
-                         transport=REMOTE_TRANSPORT,
                          service_options={"timeout": 5.0, "retries": 1})
         transport = spec.open()
         try:

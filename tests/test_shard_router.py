@@ -22,10 +22,8 @@ from repro.service import PathService
 from repro.shard import (
     ShardRouter,
     ShardSpec,
-    available_transports,
     build_routing_table,
     default_shard_name,
-    register_transport,
 )
 from repro.shard.routing import format_routing_table
 from repro.shard.spec import InProcessTransport
@@ -70,37 +68,6 @@ class TestShardSpec:
             ShardSpec(name="", catalog_path=str(tmp_path))
         with pytest.raises(ShardError):
             ShardSpec(name="a/b", catalog_path=str(tmp_path))
-
-    def test_rejects_unknown_transport_at_open_time(self, tmp_path):
-        # Construction accepts any transport name — "remote" (and
-        # third-party transports) may register after the spec is built —
-        # so the registry check happens when the spec is *opened*.
-        spec = ShardSpec(name="a", catalog_path=str(tmp_path),
-                         transport="carrier-pigeon")
-        with pytest.raises(ShardError, match="unknown shard transport"):
-            spec.open()
-
-    def test_transport_registered_after_spec_construction_works(self, tmp_path):
-        _seed_catalog(str(tmp_path), {"late": grid_graph(3, 3, seed=7)})
-        spec = ShardSpec(name="late-shard", catalog_path=str(tmp_path),
-                         transport="late-registered")
-        register_transport("late-registered", InProcessTransport)
-        try:
-            transport = spec.open()
-            try:
-                assert transport.graphs() == ("late",)
-            finally:
-                transport.close()
-        finally:
-            from repro.shard.spec import _TRANSPORTS
-            _TRANSPORTS.pop("late-registered", None)
-
-    def test_transport_registry(self):
-        assert "inprocess" in available_transports()
-        with pytest.raises(ShardError, match="already registered"):
-            register_transport("inprocess", InProcessTransport)
-        # replace=True is the deliberate path (restore the original).
-        register_transport("inprocess", InProcessTransport, replace=True)
 
     def test_default_shard_name_is_catalog_basename(self, tmp_path):
         assert default_shard_name(str(tmp_path / "shard-x") + os.sep) == "shard-x"
