@@ -13,6 +13,7 @@ paper's setup at the cost of run time).
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -21,12 +22,18 @@ RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 
 def bench_scale() -> float:
-    """Return the global size multiplier (``REPRO_BENCH_SCALE``, default 1)."""
+    """Return the global size multiplier (``REPRO_BENCH_SCALE``, default 1).
+
+    A value that is not a finite number raises rather than silently
+    benchmarking the default sizes under the intended scale's label.
+    """
     raw = os.environ.get("REPRO_BENCH_SCALE", "1.0")
     try:
         scale = float(raw)
     except ValueError:
-        return 1.0
+        scale = math.nan
+    if not math.isfinite(scale):
+        raise ValueError(f"REPRO_BENCH_SCALE={raw!r} is not a finite number")
     return max(scale, 0.01)
 
 
@@ -55,12 +62,17 @@ def bench_backend(default: str = "minidb") -> str:
 
 
 def num_bench_queries(default: int = 4) -> int:
-    """Number of queries per configuration (``REPRO_BENCH_QUERIES``)."""
+    """Number of queries per configuration (``REPRO_BENCH_QUERIES``).
+
+    A value that is not an integer raises rather than silently running
+    ``default`` queries under the intended count's label.
+    """
     raw = os.environ.get("REPRO_BENCH_QUERIES", str(default))
     try:
         return max(1, int(raw))
     except ValueError:
-        return default
+        raise ValueError(
+            f"REPRO_BENCH_QUERIES={raw!r} is not an integer") from None
 
 
 def format_table(rows: Sequence[Dict[str, object]],

@@ -1,13 +1,12 @@
-"""Index substrate: B+ tree and hash indexes over table rows.
+"""Index substrate: the B+ tree behind every table index.
 
 Indexes map column keys to :class:`~repro.storage.page.RecordId` values (or,
 for clustered tables, are paired with a key-ordered heap layout).  The paper
 builds a clustered index on ``TEdges(fid)`` / ``TOutSegs(fid)`` and a unique
 index on ``TVisited(nid)``; Figure 8(c) compares clustered, non-clustered and
-no-index configurations, all of which are expressible with these classes.
+no-index configurations, all of which are expressible with this class.
 """
 
 from repro.index.btree import BPlusTree
-from repro.index.hash_index import HashIndex
 
-__all__ = ["BPlusTree", "HashIndex"]
+__all__ = ["BPlusTree"]

@@ -1,8 +1,8 @@
-"""An order-``m`` B+ tree supporting duplicate keys and range scans.
+"""An order-``m`` B+ tree supporting duplicate keys.
 
 The tree maps orderable keys to lists of values (typically
-:class:`~repro.storage.page.RecordId` objects).  Leaves are chained so range
-scans and full-order iteration are sequential.  Nodes live in memory, which
+:class:`~repro.storage.page.RecordId` objects).  Leaves are chained so
+full-order iteration is sequential.  Nodes live in memory, which
 models the common situation where the hot upper levels of an index stay in
 the database buffer; the I/O that experiments measure is the data-page I/O
 performed after the index lookup.
@@ -101,38 +101,6 @@ class BPlusTree:
         """Whether any entry exists for ``key``."""
         return bool(self.search(key))
 
-    def range_scan(self, low: Optional[Any] = None, high: Optional[Any] = None,
-                   include_low: bool = True,
-                   include_high: bool = True) -> Iterator[Tuple[Any, Any]]:
-        """Yield ``(key, value)`` pairs with ``low <= key <= high`` in key order.
-
-        ``None`` bounds are open ended.  Bound inclusivity is controlled by
-        ``include_low`` / ``include_high``.
-        """
-        if low is None:
-            leaf: Optional[_LeafNode] = self._leftmost_leaf()
-            start_index = 0
-        else:
-            leaf = self._find_leaf(low)
-            start_index = bisect.bisect_left(leaf.keys, low)
-        while leaf is not None:
-            for index in range(start_index, len(leaf.keys)):
-                key = leaf.keys[index]
-                if low is not None:
-                    if key < low or (not include_low and key == low):
-                        continue
-                if high is not None:
-                    if key > high or (not include_high and key == high):
-                        return
-                for value in leaf.values[index]:
-                    yield key, value
-            leaf = leaf.next_leaf
-            start_index = 0
-
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        """Yield every ``(key, value)`` pair in key order."""
-        return self.range_scan()
-
     def keys(self) -> Iterator[Any]:
         """Yield distinct keys in order."""
         leaf: Optional[_LeafNode] = self._leftmost_leaf()
@@ -140,19 +108,6 @@ class BPlusTree:
             for key in leaf.keys:
                 yield key
             leaf = leaf.next_leaf
-
-    def min_key(self) -> Optional[Any]:
-        """Smallest key, or ``None`` for an empty tree."""
-        leaf = self._leftmost_leaf()
-        return leaf.keys[0] if leaf.keys else None
-
-    def max_key(self) -> Optional[Any]:
-        """Largest key, or ``None`` for an empty tree."""
-        node = self._root
-        while isinstance(node, _InnerNode):
-            node = node.children[-1]
-        assert isinstance(node, _LeafNode)
-        return node.keys[-1] if node.keys else None
 
     def _leftmost_leaf(self) -> _LeafNode:
         node = self._root

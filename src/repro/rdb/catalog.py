@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import CatalogError
 from repro.rdb.table import Table
@@ -44,10 +44,3 @@ class Catalog:
     def has(self, name: str) -> bool:
         """Whether a table called ``name`` exists."""
         return name in self._tables
-
-    def names(self) -> List[str]:
-        """Sorted table names."""
-        return sorted(self._tables)
-
-    def __len__(self) -> int:
-        return len(self._tables)

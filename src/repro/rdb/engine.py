@@ -1,21 +1,21 @@
-"""The ``Database`` facade: storage + catalog + statistics in one object.
+"""The ``Database`` facade: storage + catalog in one object.
 
-A :class:`Database` owns a disk manager, a buffer pool, a catalog of tables
-and a :class:`~repro.rdb.stats.DatabaseStats` counter block.  It is the
-"RDB" that the graph stores in ``repro.core.store`` talk to, and the object
-whose buffer capacity the buffer-size experiments vary.
+A :class:`Database` owns a disk manager, a buffer pool and a catalog of
+tables.  It is the "RDB" that the minidb graph store
+(``repro.core.store.minidb``) talks to, and the object whose buffer
+capacity and I/O counters the buffer-size experiments (Figures 8(b) and
+9(g)) vary and read.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.rdb.catalog import Catalog
 from repro.rdb.schema import Column, TableSchema
-from repro.rdb.stats import DatabaseStats
-from repro.rdb.table import IndexInfo, Table
+from repro.rdb.table import Table
 from repro.storage.buffer_pool import DEFAULT_CAPACITY, BufferPool, BufferPoolStats
 from repro.storage.disk import PAGE_SIZE, open_disk
 from repro.storage.heap_file import HeapFile
@@ -45,7 +45,6 @@ class Database:
         self.disk = open_disk(path, page_size)
         self.pool = BufferPool(self.disk, buffer_capacity)
         self.catalog = Catalog()
-        self.stats = DatabaseStats()
         self._closed = False
 
     # -- DDL ------------------------------------------------------------------------
@@ -55,7 +54,7 @@ class Database:
         """Create a table and register it in the catalog."""
         schema = TableSchema(name=name, columns=list(columns), primary_key=primary_key)
         heap = HeapFile(self.pool, name=name)
-        table = Table(schema, heap, stats=self.stats)
+        table = Table(schema, heap)
         self.catalog.register(table)
         return table
 
@@ -63,14 +62,6 @@ class Database:
         """Drop a table (its pages are not reclaimed; callers recreate the
         database for a truly fresh start, which is what the benchmarks do)."""
         self.catalog.drop(name)
-
-    def create_index(self, table_name: str, column: str, kind: str = "btree",
-                     unique: bool = False, clustered: bool = False,
-                     name: Optional[str] = None) -> IndexInfo:
-        """Create an index on ``table_name(column)``."""
-        return self.table(table_name).create_index(
-            column, kind=kind, unique=unique, clustered=clustered, name=name
-        )
 
     # -- access -----------------------------------------------------------------------
 
@@ -81,10 +72,6 @@ class Database:
     def has_table(self, name: str) -> bool:
         """Whether a table called ``name`` exists."""
         return self.catalog.has(name)
-
-    def table_names(self) -> List[str]:
-        """Sorted names of all tables."""
-        return self.catalog.names()
 
     # -- statistics ----------------------------------------------------------------------
 
@@ -104,13 +91,8 @@ class Database:
         return self.disk.writes
 
     def reset_stats(self) -> None:
-        """Reset statement, buffer and disk counters (not table contents)."""
-        self.stats.reset()
+        """Reset buffer and disk counters (not table contents)."""
         self.pool.reset_stats()
-
-    def set_buffer_capacity(self, capacity: int) -> None:
-        """Resize the buffer pool (evicting pages when shrinking)."""
-        self.pool.set_capacity(capacity)
 
     # -- lifecycle ------------------------------------------------------------------------
 
@@ -128,8 +110,3 @@ class Database:
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        backing = self.path or "memory"
-        return (f"Database(path={backing!r}, tables={len(self.catalog)}, "
-                f"buffer={self.pool.capacity} pages)")

@@ -51,18 +51,9 @@ class TableSchema:
     # -- lookups -------------------------------------------------------------------
 
     @property
-    def column_names(self) -> List[str]:
-        """Column names in declaration order."""
-        return [column.name for column in self.columns]
-
-    @property
     def column_types(self) -> List[str]:
         """Column types in declaration order."""
         return [column.type for column in self.columns]
-
-    def has_column(self, name: str) -> bool:
-        """Whether ``name`` is a column of this table."""
-        return name in self._positions
 
     def position(self, name: str) -> int:
         """Return the ordinal position of column ``name``."""
@@ -70,10 +61,6 @@ class TableSchema:
             return self._positions[name]
         except KeyError as exc:
             raise SchemaError(f"table {self.name!r} has no column {name!r}") from exc
-
-    def column(self, name: str) -> Column:
-        """Return the :class:`Column` named ``name``."""
-        return self.columns[self.position(name)]
 
     # -- row conversions ------------------------------------------------------------
 

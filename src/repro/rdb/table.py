@@ -11,46 +11,36 @@ makes the E-operator's per-node edge fetch cheap in I/O terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import CatalogError, ConstraintViolationError, QueryError
+from repro.errors import CatalogError, ConstraintViolationError
 from repro.index.btree import BPlusTree
-from repro.index.hash_index import HashIndex
 from repro.rdb.schema import TableSchema
-from repro.rdb.stats import DatabaseStats
 from repro.storage.heap_file import HeapFile
 from repro.storage.page import RecordId
 from repro.storage.serialization import RowSerializer
 
 Row = Dict[str, object]
 Predicate = Callable[[Row], object]
-IndexStructure = Union[BPlusTree, HashIndex]
 
 
 @dataclass
 class IndexInfo:
-    """Metadata and structure of one index."""
+    """Metadata and B+ tree of one index."""
 
     name: str
     column: str
-    structure: IndexStructure
+    structure: BPlusTree
     unique: bool = False
     clustered: bool = False
 
-    @property
-    def kind(self) -> str:
-        """``"btree"`` or ``"hash"``."""
-        return "btree" if isinstance(self.structure, BPlusTree) else "hash"
-
 
 class Table:
-    """A heap-backed table with secondary indexes."""
+    """A heap-backed table with B+ tree indexes."""
 
-    def __init__(self, schema: TableSchema, heap: HeapFile,
-                 stats: Optional[DatabaseStats] = None) -> None:
+    def __init__(self, schema: TableSchema, heap: HeapFile) -> None:
         self.schema = schema
         self.heap = heap
-        self.stats = stats or DatabaseStats()
         self.serializer = RowSerializer(schema.column_types)
         self.indexes: Dict[str, IndexInfo] = {}
 
@@ -66,13 +56,12 @@ class Table:
 
     # -- index management ---------------------------------------------------------
 
-    def create_index(self, column: str, kind: str = "btree", unique: bool = False,
+    def create_index(self, column: str, unique: bool = False,
                      clustered: bool = False, name: Optional[str] = None) -> IndexInfo:
-        """Create an index on ``column`` and populate it from existing rows.
+        """Create a B+ tree index on ``column`` and populate it from existing rows.
 
         Args:
             column: indexed column name.
-            kind: ``"btree"`` (ordered, range scans) or ``"hash"`` (equality).
             unique: reject duplicate keys.
             clustered: marks the index as the table's clustering key; callers
                 should bulk-load rows in key order (see :meth:`bulk_load`).
@@ -85,29 +74,13 @@ class Table:
         index_name = name or f"ix_{self.schema.name}_{column}"
         if index_name in self.indexes:
             raise CatalogError(f"index {index_name!r} already exists")
-        structure: IndexStructure
-        if kind == "btree":
-            structure = BPlusTree(unique=unique)
-        elif kind == "hash":
-            structure = HashIndex(unique=unique)
-        else:
-            raise QueryError(f"unknown index kind {kind!r}")
+        structure = BPlusTree(unique=unique)
+        for rid, row in self._scan_with_rids():
+            structure.insert(row.get(column), rid)
         info = IndexInfo(name=index_name, column=column, structure=structure,
                          unique=unique, clustered=clustered)
         self.indexes[index_name] = info
-        for rid, row in self._scan_with_rids():
-            self._index_insert(info, row, rid)
         return info
-
-    def drop_index(self, name: str) -> None:
-        """Remove the index ``name``.
-
-        Raises:
-            CatalogError: if the index does not exist.
-        """
-        if name not in self.indexes:
-            raise CatalogError(f"index {name!r} does not exist")
-        del self.indexes[name]
 
     def index_on(self, column: str) -> Optional[IndexInfo]:
         """Return an index whose key is ``column`` (clustered ones first)."""
@@ -117,13 +90,20 @@ class Table:
         candidates.sort(key=lambda info: (not info.clustered, info.name))
         return candidates[0]
 
-    def _index_insert(self, info: IndexInfo, row: Row, rid: RecordId) -> None:
-        key = row.get(info.column)
-        if info.unique and info.structure.contains(key):
-            raise ConstraintViolationError(
-                f"duplicate key {key!r} for unique index {info.name!r}"
-            )
-        info.structure.insert(key, rid)
+    def _check_unique(self, row: Row, old_row: Optional[Row] = None) -> None:
+        """Refuse ``row`` before anything is written if a unique index already
+        holds its key.  On update (``old_row`` given) an unchanged key is the
+        row's own entry, so only changed keys are probed."""
+        for info in self.indexes.values():
+            if not info.unique:
+                continue
+            key = row.get(info.column)
+            if old_row is not None and old_row.get(info.column) == key:
+                continue
+            if info.structure.contains(key):
+                raise ConstraintViolationError(
+                    f"duplicate key {key!r} for unique index {info.name!r}"
+                )
 
     def _index_delete(self, row: Row, rid: RecordId) -> None:
         for info in self.indexes.values():
@@ -137,15 +117,10 @@ class Table:
         normalized = self.schema.tuple_to_row(values)
         if self.schema.primary_key is not None:
             self._check_primary_key(normalized)
-        record = self.serializer.encode(values)
-        rid = self.heap.insert(record)
+        self._check_unique(normalized)
+        rid = self.heap.insert(self.serializer.encode(values))
         for info in self.indexes.values():
-            try:
-                self._index_insert(info, normalized, rid)
-            except ConstraintViolationError:
-                self.heap.delete(rid)
-                raise
-        self.stats.add_rows_written()
+            info.structure.insert(normalized.get(info.column), rid)
         return rid
 
     def insert_many(self, rows: Iterable[Row]) -> int:
@@ -174,24 +149,13 @@ class Table:
         key_column = self.schema.primary_key
         info = self.index_on(key_column) if key_column else None
         if info is not None and info.unique:
-            return  # the unique index enforces it during _index_insert
+            return  # the unique index enforces it in _check_unique
         key_value = row.get(key_column)
         for existing in self.scan():
             if existing.get(key_column) == key_value:
                 raise ConstraintViolationError(
                     f"duplicate primary key {key_value!r} in table {self.name!r}"
                 )
-
-    def delete_where(self, predicate: Predicate) -> int:
-        """Delete rows satisfying ``predicate``; returns the number deleted."""
-        victims: List[Tuple[RecordId, Row]] = [
-            (rid, row) for rid, row in self._scan_with_rids() if predicate(row)
-        ]
-        for rid, row in victims:
-            self.heap.delete(rid)
-            self._index_delete(row, rid)
-        self.stats.add_rows_deleted(len(victims))
-        return len(victims)
 
     def update_where(self, predicate: Predicate,
                      updater: Callable[[Row], Row]) -> int:
@@ -217,8 +181,8 @@ class Table:
             old_row = self.read(rid)
         values = self.schema.row_to_tuple(new_row)
         normalized = self.schema.tuple_to_row(values)
-        record = self.serializer.encode(values)
-        new_rid = self.heap.update(rid, record)
+        self._check_unique(normalized, old_row)
+        new_rid = self.heap.update(rid, self.serializer.encode(values))
         if new_rid != rid or any(
             old_row.get(info.column) != normalized.get(info.column)
             for info in self.indexes.values()
@@ -226,7 +190,6 @@ class Table:
             self._index_delete(old_row, rid)
             for info in self.indexes.values():
                 info.structure.insert(normalized.get(info.column), new_rid)
-        self.stats.add_rows_written()
         return new_rid
 
     def truncate(self) -> None:
@@ -240,7 +203,6 @@ class Table:
     def read(self, rid: RecordId) -> Row:
         """Return the row stored at ``rid``."""
         values = self.serializer.decode(self.heap.read(rid))
-        self.stats.add_rows_read()
         return self.schema.tuple_to_row(values)
 
     def scan(self) -> Iterator[Row]:
@@ -248,14 +210,9 @@ class Table:
         for _rid, row in self._scan_with_rids():
             yield row
 
-    def scan_with_rids(self) -> Iterator[Tuple[RecordId, Row]]:
-        """Iterate over ``(rid, row)`` pairs (heap order)."""
-        return self._scan_with_rids()
-
     def _scan_with_rids(self) -> Iterator[Tuple[RecordId, Row]]:
         for rid, record in self.heap.scan():
             values = self.serializer.decode(record)
-            self.stats.add_rows_read()
             yield rid, self.schema.tuple_to_row(values)
 
     def lookup(self, column: str, key: object) -> List[Row]:
@@ -276,26 +233,3 @@ class Table:
         for rid in info.structure.search(key):
             results.append((rid, self.read(rid)))
         return results
-
-    def range_lookup(self, column: str, low: Optional[object],
-                     high: Optional[object]) -> List[Row]:
-        """Return rows with ``low <= row[column] <= high`` (ordered by key when a
-        B+ tree index exists, heap order otherwise)."""
-        info = self.index_on(column)
-        if info is not None and isinstance(info.structure, BPlusTree):
-            return [self.read(rid) for _key, rid in
-                    info.structure.range_scan(low, high)]
-        rows = []
-        for row in self.scan():
-            value = row.get(column)
-            if value is None:
-                continue
-            if low is not None and value < low:
-                continue
-            if high is not None and value > high:
-                continue
-            rows.append(row)
-        return rows
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Table({self.name!r}, rows={self.row_count}, indexes={list(self.indexes)})"

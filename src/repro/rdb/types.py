@@ -12,21 +12,7 @@ from typing import Optional
 from repro.errors import TypeMismatchError
 from repro.storage.serialization import FLOAT, INTEGER, TEXT
 
-__all__ = ["INTEGER", "FLOAT", "TEXT", "coerce_value", "python_type"]
-
-_PYTHON_TYPES = {
-    INTEGER: int,
-    FLOAT: float,
-    TEXT: str,
-}
-
-
-def python_type(column_type: str) -> type:
-    """Return the Python type corresponding to a column type name."""
-    try:
-        return _PYTHON_TYPES[column_type]
-    except KeyError as exc:
-        raise TypeMismatchError(f"unknown column type {column_type!r}") from exc
+__all__ = ["INTEGER", "FLOAT", "TEXT", "coerce_value"]
 
 
 def coerce_value(value: Optional[object], column_type: str,

@@ -12,8 +12,7 @@ class TestBPlusTreeBasics:
         tree = BPlusTree(order=4)
         assert len(tree) == 0
         assert tree.search(1) == []
-        assert tree.min_key() is None
-        assert tree.max_key() is None
+        assert list(tree.keys()) == []
 
     def test_insert_and_search(self):
         tree = BPlusTree(order=4)
@@ -48,52 +47,11 @@ class TestBPlusTreeBasics:
         tree = BPlusTree(order=4)
         for key in reversed(range(50)):
             tree.insert(key, key)
-        assert [key for key, _ in tree.items()] == list(range(50))
-
-    def test_min_max(self):
-        tree = BPlusTree(order=4)
-        for key in (5, 1, 9, 3):
-            tree.insert(key, key)
-        assert tree.min_key() == 1
-        assert tree.max_key() == 9
+        assert list(tree.keys()) == list(range(50))
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             BPlusTree(order=2)
-
-
-class TestBPlusTreeRangeScan:
-    @pytest.fixture
-    def tree(self) -> BPlusTree:
-        tree = BPlusTree(order=4)
-        for key in range(0, 40, 2):
-            tree.insert(key, f"v{key}")
-        return tree
-
-    def test_full_scan_sorted(self, tree):
-        keys = [key for key, _ in tree.items()]
-        assert keys == sorted(keys)
-        assert len(keys) == 20
-
-    def test_bounded_range(self, tree):
-        keys = [key for key, _ in tree.range_scan(10, 20)]
-        assert keys == [10, 12, 14, 16, 18, 20]
-
-    def test_exclusive_bounds(self, tree):
-        keys = [key for key, _ in tree.range_scan(10, 20, include_low=False,
-                                                  include_high=False)]
-        assert keys == [12, 14, 16, 18]
-
-    def test_open_ended_low(self, tree):
-        keys = [key for key, _ in tree.range_scan(None, 6)]
-        assert keys == [0, 2, 4, 6]
-
-    def test_open_ended_high(self, tree):
-        keys = [key for key, _ in tree.range_scan(34, None)]
-        assert keys == [34, 36, 38]
-
-    def test_range_between_keys(self, tree):
-        assert list(tree.range_scan(11, 11)) == []
 
 
 class TestBPlusTreeDelete:
@@ -123,7 +81,7 @@ class TestBPlusTreeDelete:
             tree.insert(key, key)
         tree.clear()
         assert len(tree) == 0
-        assert list(tree.items()) == []
+        assert list(tree.keys()) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -140,24 +98,6 @@ def test_property_btree_matches_dict_of_lists(entries):
     for key, values in reference.items():
         assert sorted(tree.search(key), key=repr) == sorted(values, key=repr)
     assert [key for key in tree.keys()] == sorted(reference)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    keys=st.lists(st.integers(0, 300), min_size=1, max_size=150),
-    low=st.integers(0, 300),
-    high=st.integers(0, 300),
-)
-def test_property_range_scan_matches_filter(keys, low, high):
-    """Range scans agree with filtering the full key set."""
-    if low > high:
-        low, high = high, low
-    tree = BPlusTree(order=4)
-    for key in keys:
-        tree.insert(key, key)
-    scanned = [key for key, _ in tree.range_scan(low, high)]
-    expected = sorted(key for key in keys if low <= key <= high)
-    assert scanned == expected
 
 
 @settings(max_examples=50, deadline=None)

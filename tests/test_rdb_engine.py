@@ -1,13 +1,12 @@
-"""Tests for the Database facade and statistics."""
+"""Tests for the Database facade."""
 
 import os
 
 import pytest
 
-from repro.errors import CatalogError, InvalidQueryError
+from repro.errors import CatalogError
 from repro.rdb.engine import Database
 from repro.rdb.schema import Column
-from repro.rdb.stats import DatabaseStats
 from repro.rdb.types import FLOAT, INTEGER
 
 
@@ -16,7 +15,6 @@ class TestDatabase:
         with Database(buffer_capacity=8) as db:
             db.create_table("T", [Column("a", INTEGER)])
             assert db.has_table("T")
-            assert db.table_names() == ["T"]
             assert db.table("T").row_count == 0
 
     def test_duplicate_table_rejected(self):
@@ -38,13 +36,6 @@ class TestDatabase:
             with pytest.raises(CatalogError):
                 db.drop_table("T")
 
-    def test_create_index_via_database(self):
-        with Database() as db:
-            db.create_table("T", [Column("a", INTEGER)])
-            info = db.create_index("T", "a", unique=True)
-            assert info.unique
-            assert db.table("T").index_on("a") is not None
-
     def test_file_backed_database(self, tmp_path):
         path = str(tmp_path / "pages.db")
         db = Database(path=path, buffer_capacity=4)
@@ -61,11 +52,6 @@ class TestDatabase:
         db.close()
         assert not os.path.exists(path)
 
-    def test_buffer_capacity_resize(self):
-        with Database(buffer_capacity=4) as db:
-            db.set_buffer_capacity(2)
-            assert db.pool.capacity == 2
-
     def test_io_counters_increase_under_memory_pressure(self):
         with Database(buffer_capacity=2) as db:
             table = db.create_table("T", [Column("a", INTEGER), Column("b", FLOAT)])
@@ -81,41 +67,11 @@ class TestDatabase:
             table.insert_many({"a": i} for i in range(50))
             list(table.scan())
             db.reset_stats()
-            assert db.stats.rows_read == 0
             assert db.buffer_stats.accesses == 0
+            assert (db.io_reads, db.io_writes) == (0, 0)
 
     def test_close_idempotent(self):
         db = Database()
         db.close()
         db.close()
 
-
-class TestDatabaseStats:
-    def test_statement_counters(self):
-        stats = DatabaseStats()
-        stats.record_statement("select")
-        stats.record_statement("select")
-        stats.record_statement("merge")
-        assert stats.statements == 3
-        assert stats.statements_by_kind == {"select": 2, "merge": 1}
-
-    def test_row_counters(self):
-        stats = DatabaseStats()
-        stats.add_rows_read(5)
-        stats.add_rows_written(2)
-        stats.add_rows_deleted()
-        assert (stats.rows_read, stats.rows_written, stats.rows_deleted) == (5, 2, 1)
-
-    def test_timer(self):
-        stats = DatabaseStats()
-        with stats.timed("phase"):
-            sum(range(1000))
-        assert stats.time_by_label["phase"] > 0
-
-    def test_snapshot_and_reset(self):
-        stats = DatabaseStats()
-        stats.record_statement()
-        snapshot = stats.snapshot()
-        assert snapshot["statements"] == 1
-        stats.reset()
-        assert stats.statements == 0

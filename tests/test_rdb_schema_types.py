@@ -1,23 +1,13 @@
-"""Tests for column types, schemas and expressions."""
+"""Tests for column types and schemas."""
 
 import pytest
 
-from repro.errors import QueryError, SchemaError, TypeMismatchError
-from repro.rdb.expressions import BinaryOp, col, lit, as_callable
+from repro.errors import SchemaError, TypeMismatchError
 from repro.rdb.schema import Column, TableSchema
-from repro.rdb.types import FLOAT, INTEGER, TEXT, coerce_value, python_type
+from repro.rdb.types import FLOAT, INTEGER, TEXT, coerce_value
 
 
 class TestTypes:
-    def test_python_types(self):
-        assert python_type(INTEGER) is int
-        assert python_type(FLOAT) is float
-        assert python_type(TEXT) is str
-
-    def test_python_type_unknown(self):
-        with pytest.raises(TypeMismatchError):
-            python_type("BLOB")
-
     def test_coerce_integer(self):
         assert coerce_value(5, INTEGER) == 5
         assert coerce_value(True, INTEGER) == 1
@@ -71,11 +61,8 @@ class TestSchema:
 
     def test_positions_and_lookup(self):
         schema = self.make_schema()
-        assert schema.column_names == ["fid", "tid", "cost"]
         assert schema.position("cost") == 2
-        assert schema.column("tid").type == INTEGER
-        assert schema.has_column("fid")
-        assert not schema.has_column("missing")
+        assert schema.column_types == [INTEGER, INTEGER, FLOAT]
         with pytest.raises(SchemaError):
             schema.position("missing")
 
@@ -99,46 +86,3 @@ class TestSchema:
         with pytest.raises(SchemaError):
             schema.tuple_to_row((1, 2))
 
-
-class TestExpressions:
-    def test_column_and_literal(self):
-        row = {"a": 3, "b": 4}
-        assert col("a")(row) == 3
-        assert lit(7)(row) == 7
-
-    def test_missing_column_raises(self):
-        with pytest.raises(QueryError):
-            col("missing")({"a": 1})
-
-    def test_arithmetic(self):
-        row = {"a": 3, "b": 4}
-        assert (col("a") + col("b"))(row) == 7
-        assert (col("a") - 1)(row) == 2
-        assert (col("a") * 2)(row) == 6
-
-    def test_comparisons(self):
-        row = {"a": 3}
-        assert (col("a") < 5)(row) is True
-        assert (col("a") >= 5)(row) is False
-        assert col("a").eq(3)(row) is True
-        assert col("a").ne(3)(row) is False
-
-    def test_boolean_connectives(self):
-        row = {"a": 3, "b": 0}
-        assert (col("a").eq(3)).and_(col("b").eq(0))(row) is True
-        assert (col("a").eq(9)).or_(col("b").eq(0))(row) is True
-
-    def test_null_propagation(self):
-        row = {"a": None}
-        assert (col("a") + 1)(row) is None
-        assert (col("a") < 1)(row) is None
-
-    def test_unknown_operator(self):
-        with pytest.raises(QueryError):
-            BinaryOp("%%", lit(1), lit(2))
-
-    def test_as_callable(self):
-        assert as_callable(lambda row: 5)({}) == 5
-        assert as_callable(lit(2))({}) == 2
-        with pytest.raises(QueryError):
-            as_callable(42)

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.errors import QueryError
 from repro.rdb.engine import Database
-from repro.rdb.expressions import col
 from repro.rdb.merge import merge_into, merge_with_update_insert
 from repro.rdb.schema import Column
 from repro.rdb.types import FLOAT, INTEGER
-from repro.rdb.window import Window, window_row_number
+from repro.rdb.window import window_row_number
+
+
+def by_cost(row):
+    return row["cost"]
 
 
 class TestWindowFunction:
@@ -21,7 +23,7 @@ class TestWindowFunction:
     ]
 
     def test_row_number_partitioned(self):
-        ranked = window_row_number(self.ROWS, ["tid"], [(col("cost"), True)])
+        ranked = window_row_number(self.ROWS, ["tid"], [(by_cost, True)])
         winners = {row["tid"]: row["pred"] for row in ranked if row["rownum"] == 1}
         assert winners[1] == 11
         assert winners[3] == 14
@@ -31,44 +33,20 @@ class TestWindowFunction:
     def test_row_number_carries_non_aggregated_columns(self):
         """The point of the window function in the paper: the predecessor
         column survives without an extra join."""
-        ranked = window_row_number(self.ROWS, ["tid"], [(col("cost"), True)])
+        ranked = window_row_number(self.ROWS, ["tid"], [(by_cost, True)])
         assert all("pred" in row for row in ranked)
 
-    def test_rank_function(self):
-        ranked = list(Window(self.ROWS, "rank", ["tid"],
-                             order_by=[(col("cost"), True)], output="rk"))
-        ranks_for_2 = sorted(row["rk"] for row in ranked if row["tid"] == 2)
-        assert ranks_for_2 == [1, 1]
-
-    def test_aggregate_window_functions(self):
-        rows = list(Window(self.ROWS, "min", ["tid"], argument=col("cost"),
-                           output="min_cost"))
-        assert all(row["min_cost"] == 3.0 for row in rows if row["tid"] == 1)
-        rows = list(Window(self.ROWS, "count", ["tid"], output="n"))
-        assert all(row["n"] == 2 for row in rows if row["tid"] == 2)
-
-    def test_sum_and_avg(self):
-        rows = list(Window(self.ROWS, "sum", ["tid"], argument=col("cost"),
-                           output="total"))
-        assert all(row["total"] == 14.0 for row in rows if row["tid"] == 2)
-        rows = list(Window(self.ROWS, "avg", ["tid"], argument=col("cost"),
-                           output="mean"))
-        assert all(row["mean"] == 4.0 for row in rows if row["tid"] == 1)
-
-    def test_row_number_requires_order_by(self):
-        with pytest.raises(QueryError):
-            Window(self.ROWS, "row_number", ["tid"])
-
-    def test_aggregate_requires_argument(self):
-        with pytest.raises(QueryError):
-            Window(self.ROWS, "min", ["tid"])
-
-    def test_unknown_function(self):
-        with pytest.raises(QueryError):
-            Window(self.ROWS, "median", ["tid"])
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_row_number_order_is_stable(self, ascending):
+        """Partitions come out in first-seen order and input order breaks
+        ties, so MERGE sees the same rows in the same order every run."""
+        ranked = window_row_number(self.ROWS, ["tid"], [(by_cost, ascending)])
+        first = [(1, 11, 1), (1, 10, 2)] if ascending else [(1, 10, 1), (1, 11, 2)]
+        assert [(row["tid"], row["pred"], row["rownum"]) for row in ranked] == (
+            first + [(2, 12, 1), (2, 13, 2), (3, 14, 1)])
 
     def test_empty_input(self):
-        assert window_row_number([], ["tid"], [(col("cost"), True)]) == []
+        assert window_row_number([], ["tid"], [(by_cost, True)]) == []
 
 
 class TestMerge:

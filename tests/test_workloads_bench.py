@@ -11,7 +11,13 @@ from repro.bench.experiments import (
     method_comparison,
     sql_style_comparison,
 )
-from repro.bench.harness import bench_scale, format_table, paper_reference, scaled
+from repro.bench.harness import (
+    bench_scale,
+    format_table,
+    num_bench_queries,
+    paper_reference,
+    scaled,
+)
 from repro.graph.generators import grid_graph, path_graph, power_law_graph
 from repro.graph.model import Graph
 from repro.memory.dijkstra import dijkstra_shortest_path
@@ -98,6 +104,21 @@ class TestBenchHelpers:
     def test_scaling_helpers(self):
         assert bench_scale() > 0
         assert scaled(1000) >= 50
+
+    @pytest.mark.parametrize("variable, raw", [
+        ("REPRO_BENCH_SCALE", "nan"),
+        ("REPRO_BENCH_SCALE", "inf"),
+        ("REPRO_BENCH_SCALE", "abc"),
+        ("REPRO_BENCH_QUERIES", "two"),
+    ])
+    def test_malformed_env_raises_naming_the_variable(self, monkeypatch,
+                                                      variable, raw):
+        """A bad knob must fail loudly, not bench the default under its label."""
+        read = {"REPRO_BENCH_SCALE": lambda: scaled(1000),
+                "REPRO_BENCH_QUERIES": num_bench_queries}[variable]
+        monkeypatch.setenv(variable, raw)
+        with pytest.raises(ValueError, match=variable):
+            read()
 
     def test_graph_builders(self):
         assert build_power_graph(60).num_nodes == 60
