@@ -226,8 +226,9 @@ class Catalog:
 
     def get_calibration(self, backend: str) -> Optional[CalibrationRecord]:
         """The planner-calibration record persisted for ``backend``, or
-        ``None``.  Callers must check the profile's host fingerprint —
-        unit costs measured on another machine do not apply here."""
+        ``None``.  Callers must check ``profile.reattachable()`` — unit
+        costs measured on another machine, or under another
+        ``PROFILE_VERSION``, do not apply here."""
         with self._lock:
             return self._manifest.calibrations.get(backend.lower())
 

@@ -99,8 +99,10 @@ class CalibrationRecord:
     """One backend's persisted planner-calibration profile.
 
     Keyed by backend name in the manifest; the profile inside carries the
-    host fingerprint it was measured on, and a reattaching service ignores
-    records from other hosts (unit costs do not travel between machines).
+    host fingerprint and ``PROFILE_VERSION`` it was measured under, and a
+    reattaching service ignores records from other hosts (unit costs do
+    not travel between machines) or other versions (nor between versions
+    of the statements).
 
     Attributes:
         backend: backend-registry name the profile was measured for.

@@ -57,8 +57,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.stats import SegTableBuildStats
 from repro.graph.stats import GraphStatistics
 
-PROFILE_VERSION = 1
-"""Serialized :class:`CostProfile` format version."""
+PROFILE_VERSION = 2
+"""Version of the unit costs a :class:`CostProfile` measures.  Bumped when
+a change to the statements makes older measurements stale (2: E probes
+the edge relation by the frontier instead of scanning it); a persisted
+profile of another version is ignored, like one from another host."""
 
 AUTO_CANDIDATES: Tuple[str, ...] = ("DJ", "BDJ", "BSDJ")
 """Methods ``auto`` prices on every graph; BSEG joins when a SegTable exists."""
@@ -116,6 +119,7 @@ class CostProfile:
 
     backend: str = ""
     host: str = ""
+    version: int = PROFILE_VERSION
     statement_cost: float = DEFAULT_STATEMENT_COST
     scan_row_cost: float = DEFAULT_SCAN_ROW_COST
     row_cost: float = DEFAULT_ROW_COST
@@ -130,6 +134,12 @@ class CostProfile:
     def bias(self, method: str) -> float:
         return self.method_bias.get(method, 1.0)
 
+    def reattachable(self) -> bool:
+        """Whether a persisted profile may price this process's queries:
+        measured on this host, under this :data:`PROFILE_VERSION`."""
+        return (self.host == host_fingerprint()
+                and self.version == PROFILE_VERSION)
+
     def clone(self) -> "CostProfile":
         """An independent copy (own ``method_bias`` dict).  Persisting or
         reattaching always clones: a live profile keeps mutating under
@@ -138,7 +148,7 @@ class CostProfile:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "version": PROFILE_VERSION,
+            "version": self.version,
             "backend": self.backend,
             "host": self.host,
             "statement_cost": self.statement_cost,
@@ -158,6 +168,7 @@ class CostProfile:
         return cls(
             backend=str(data.get("backend", "")),
             host=str(data.get("host", "")),
+            version=int(data.get("version", 0)),
             statement_cost=float(data.get("statement_cost",
                                           DEFAULT_STATEMENT_COST)),
             scan_row_cost=float(data.get("scan_row_cost",

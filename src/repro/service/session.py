@@ -103,7 +103,7 @@ from repro.obs.schema import (
 )
 from repro.service.answer import AnswerPath
 from repro.service.cache import CacheStats, InFlightMap, ResultCache
-from repro.service.costmodel import CostModel, CostProfile, host_fingerprint
+from repro.service.costmodel import CostModel, CostProfile
 from repro.service.pool import PoolStats, StorePool
 from repro.service.planner import (
     KIND_PATH,
@@ -751,9 +751,10 @@ class PathService:
 
         Resolution order: a model already live in this session; a
         calibration profile persisted in the bound catalog for this
-        backend **and this host** (warm starts reattach a calibrated
-        planner with zero re-probing); otherwise the built-in default
-        profile.  The same object keeps receiving runtime feedback.
+        backend, **this host and this** ``PROFILE_VERSION`` (warm starts
+        reattach a calibrated planner with zero re-probing); otherwise
+        the built-in default profile.  The same object keeps receiving
+        runtime feedback.
         """
         backend = (backend or self.default_backend).lower()
         model = self._cost_models.get(backend)
@@ -762,7 +763,7 @@ class PathService:
         profile: Optional[CostProfile] = None
         if self._catalog is not None:
             record = self._catalog.get_calibration(backend)
-            if record is not None and record.profile.host == host_fingerprint():
+            if record is not None and record.profile.reattachable():
                 # Clone: the live model keeps mutating under runtime
                 # feedback, and the record the catalog hands out must not.
                 profile = record.profile.clone()

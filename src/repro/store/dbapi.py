@@ -827,6 +827,12 @@ class DBAPIGraphStore(GraphStore):
                             use_segtable: bool, pruned: bool) -> str:
         """The inner SELECT producing (nid, cost, pred) candidates.
 
+        Every expansion join is written ``<work> CROSS JOIN <relation> e
+        WHERE <key match>``: SQLite never reorders a ``CROSS JOIN``, so the
+        frontier drives the join and ``e`` is probed by its index instead
+        of scanned (which the enclosing window function or ``agg`` join
+        would otherwise invite).  PostgreSQL plans it as an inner join.
+
         Parameter slots, in order: ``[mid?] [inf] [prune_lb prune_min]?``.
         """
         dist, flag = direction.dist_col, direction.flag_col
@@ -845,8 +851,9 @@ class DBAPIGraphStore(GraphStore):
         return f"""
             SELECT e.{other_col} AS nid, q.{dist} + e.cost AS cost,
                    {pred_expr} AS pred
-            FROM tvisited q JOIN {relation} e ON q.nid = e.{key_col}
-            WHERE {frontier_clause} AND q.{dist} < {p} {prune_clause}
+            FROM tvisited q CROSS JOIN {relation} e
+            WHERE q.nid = e.{key_col} AND {frontier_clause}
+              AND q.{dist} < {p} {prune_clause}
         """
 
     def _expand_nsql(self, direction: Direction,
@@ -954,8 +961,8 @@ class DBAPIGraphStore(GraphStore):
                                       {other_dist}, {other_pred}, {other_flag})
                 SELECT e.{other_col}, min(q.{dist}) + 1, min(q.nid), 0,
                        {self._p}, NULL, 0
-                FROM tvisited q JOIN {self._tedges} e ON q.nid = e.{key_col}
-                WHERE q.{flag} = 2
+                FROM tvisited q CROSS JOIN {self._tedges} e
+                WHERE q.nid = e.{key_col} AND q.{flag} = 2
                   AND NOT EXISTS (SELECT 1 FROM tvisited v
                                   WHERE v.nid = e.{other_col})
                 GROUP BY e.{other_col}
@@ -1039,8 +1046,8 @@ class DBAPIGraphStore(GraphStore):
         candidate_sql = f"""
             SELECT s.fid AS fid, e.{other_col} AS tid, s.tid AS pid,
                    s.cost + e.cost AS cost
-            FROM {name} s JOIN {self._tedges} e ON s.tid = e.{key_col}
-            WHERE s.f = 2 AND s.cost + e.cost <= {p}
+            FROM {name} s CROSS JOIN {self._tedges} e
+            WHERE s.tid = e.{key_col} AND s.f = 2 AND s.cost + e.cost <= {p}
               AND e.{other_col} != s.fid
         """
         if validate_sql_style(self.sql_style) == NSQL:

@@ -26,6 +26,7 @@ from repro.service import PathService
 from repro.service.calibrate import calibrate_profile
 from repro.service.costmodel import (
     AUTO_CANDIDATES,
+    PROFILE_VERSION,
     CostModel,
     CostProfile,
     default_profile,
@@ -52,6 +53,15 @@ class TestCostProfile:
             calibrated=True, calibrated_at=123.0, probe_seconds=0.25)
         restored = CostProfile.from_dict(profile.as_dict())
         assert restored == profile
+
+    def test_version_is_carried_and_missing_reads_as_zero(self):
+        profile = default_profile("sqlite")
+        assert profile.version == PROFILE_VERSION == 2
+        assert profile.reattachable()
+        data = profile.as_dict()
+        del data["version"]
+        assert CostProfile.from_dict(data).version == 0
+        assert not CostProfile.from_dict(data).reattachable()
 
     def test_default_profile_is_uncalibrated_and_host_stamped(self):
         profile = default_profile("minidb")
@@ -327,10 +337,12 @@ class TestLthdAuto:
 
 
 class TestManifestPersistence:
-    def _record(self, backend="sqlite", host=None):
+    def _record(self, backend="sqlite", host=None, version=None):
         profile = default_profile(backend)
         if host is not None:
             profile.host = host
+        if version is not None:
+            profile.version = version
         profile.calibrated = True
         profile.calibrated_at = 1234.5
         return CalibrationRecord(backend=backend, profile=profile,
@@ -385,6 +397,21 @@ class TestManifestPersistence:
         with PathService(catalog_path=catalog_dir,
                          default_backend="sqlite") as service:
             assert not service.cost_model("sqlite").profile.calibrated
+
+    @pytest.mark.parametrize("version", [
+        pytest.param(PROFILE_VERSION - 1, id="previous"),
+        pytest.param(PROFILE_VERSION, id="current")])
+    def test_only_a_current_version_profile_reattaches(self, tmp_path,
+                                                        version):
+        """Profiles measured under other statements (v1 priced E as a
+        scan) are ignored like another host's; a current one reattaches
+        without a probe."""
+        catalog_dir = str(tmp_path / "cat")
+        Catalog(catalog_dir).set_calibration(self._record(version=version))
+        with PathService.open(catalog_dir) as service:
+            profile = service.cost_model("sqlite").profile
+            assert profile.calibrated == (version == PROFILE_VERSION)
+            assert service.calibrations_run == 0
 
     def test_service_calibrate_defaults_to_hosted_backends(self, tmp_path):
         with PathService() as service:

@@ -4,7 +4,8 @@ Covers the parts the backend-generic conformance suite cannot see from
 the outside: DSN parsing, the stdlib wire protocol (hello, admission
 control, the CLI entry point), typed error mapping, connection-cap
 arithmetic, clone privacy of the server-side ``TEMP`` table, durable
-SegTable metadata, and database relocation into a plain SQLite file.
+SegTable metadata, database relocation into a plain SQLite file, and
+SQLite's plan for every statement that joins an edge or segment relation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.bidirectional import (
+    bidirectional_dijkstra,
+    bidirectional_set_dijkstra,
+)
+from repro.core.bseg import bidirectional_segtable_search
+from repro.core.dijkstra import dijkstra_single_direction
+from repro.core.multi import METHOD_HOPS, METHOD_REACH, hop_limited_search
 from repro.core.segtable import build_segtable
+from repro.core.sqlstyle import NSQL, TSQL
 from repro.core.stats import QueryStats
 from repro.core.store.registry import create_store
 from repro.errors import (
@@ -29,6 +38,7 @@ from repro.errors import (
     StoreBackendError,
 )
 from repro.graph.fingerprint import fingerprint_graph
+from repro.graph.generators import power_law_graph
 from repro.graph.model import Graph
 from repro.store import fallback_server
 from repro.store.dbapi import DBAPIGraphStore, ParsedDSN, driver_for
@@ -295,3 +305,56 @@ class TestStoreBehavior:
             assert type(store).supports_concurrent_readers
         finally:
             store.destroy()
+
+
+class TestExpansionPlans:
+    """E is index-driven (Sec 3-4 of the paper): every statement joining
+    the frontier to ``tedges`` / ``toutsegs`` / ``tinsegs`` probes the
+    relation by the frontier's node ids instead of scanning it.
+
+    Each statement is planned as it is executed, with its real
+    parameters: the full statements (the window function's ``PARTITION
+    BY``, the tsql ``agg`` join) are what lure SQLite into driving the
+    join from ``e``, while the bare candidate ``SELECT`` plans fine alone.
+    """
+
+    RELATIONS = re.compile(r"\b(tedges|toutsegs|tinsegs)\b")
+
+    def test_no_statement_scans_an_edge_or_segment_relation(
+            self, monkeypatch):
+        planned = []
+        execute = DBAPIGraphStore._execute
+
+        def explain_then_execute(store, sql, parameters=()):
+            if self.RELATIONS.search(sql):
+                plan = store.connection.execute(
+                    "EXPLAIN QUERY PLAN " + sql, tuple(parameters))
+                planned.append((sql, [row[3] for row in plan.fetchall()]))
+            return execute(store, sql, parameters)
+
+        monkeypatch.setattr(DBAPIGraphStore, "_execute", explain_then_execute)
+        store = create_store("sqlite")
+        try:
+            store.load_graph(power_law_graph(300, edges_per_node=2, seed=7))
+            build_segtable(store, 8.0)
+            for style in (NSQL, TSQL):
+                for search in (dijkstra_single_direction,
+                               bidirectional_dijkstra,
+                               bidirectional_set_dijkstra):
+                    search(store, 0, 200, sql_style=style)
+                bidirectional_segtable_search(store, 0, 200, sql_style=style,
+                                              lthd=8.0)
+                hop_limited_search(store, 0, 200, sql_style=style,
+                                   max_hops=5, method=METHOD_HOPS)
+                hop_limited_search(store, 0, 200, sql_style=style,
+                                   method=METHOD_REACH)
+        finally:
+            store.close()
+
+        named = {name for sql, _ in planned
+                 for name in self.RELATIONS.findall(sql)}
+        assert named == {"tedges", "toutsegs", "tinsegs"}
+        scans = {" ".join(sql.split()): step
+                 for sql, steps in planned for step in steps
+                 if re.match(r"SCAN e\b", step)}
+        assert not scans, f"{len(scans)} statement shape(s) scan e: {scans}"
