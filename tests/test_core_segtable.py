@@ -7,7 +7,7 @@ from repro.core.segtable import SegTableConfig, build_segtable
 from repro.core.store.minidb import MiniDBGraphStore
 from repro.core.store.sqlite import SQLiteGraphStore
 from repro.errors import InvalidQueryError
-from repro.graph.generators import grid_graph, power_law_graph
+from repro.graph.generators import grid_graph, power_law_graph, random_graph
 from repro.graph.model import Graph
 from repro.memory.dijkstra import single_source_distances
 
@@ -148,3 +148,91 @@ class TestConfigValidation:
         stats = build_segtable(store, lthd=5.0)
         assert stats.encoding_number == 0
         store.close()
+
+
+# ---------------------------------------------------------------------------
+# The SegTable oracle: the definition of Section 4.2, computed in Python
+# ---------------------------------------------------------------------------
+
+ORACLE_GRAPHS = {
+    "power": lambda: power_law_graph(50, edges_per_node=2,
+                                     weight_range=(1, 6), seed=11),
+    "random": lambda: random_graph(50, avg_degree=3.0, weight_range=(1, 6),
+                                   seed=12),
+}
+
+
+def segment_tables(store):
+    """The stored ``(TOutSegs, TInSegs)`` rows."""
+    return (store.seg_rows(FORWARD_DIRECTION),
+            store.seg_rows(BACKWARD_DIRECTION))
+
+
+def expected_segments(graph: Graph, lthd: float):
+    """Every pair with δ(u, v) <= lthd at δ, plus each longer edge as it is
+    (the cheapest of its parallel copies), self-pairs excluded."""
+    expected = {}
+    for source in graph.nodes():
+        reachable = single_source_distances(graph, source, max_distance=lthd)
+        for target, distance in reachable.items():
+            if target != source:
+                expected[(source, target)] = distance
+    for edge in graph.edges():
+        if edge.fid != edge.tid and (edge.fid, edge.tid) not in expected:
+            expected[(edge.fid, edge.tid)] = graph.edge_cost(edge.fid,
+                                                             edge.tid)
+    return expected
+
+
+def chain_cost(graph: Graph, start: int, end: int, next_node,
+               backwards: bool) -> float:
+    """Cost of the path a link chain spells out from ``start`` to ``end``,
+    one hop at a time; a ``backwards`` chain walks edges against their
+    direction.  Fails on a hop that is not an edge, or on a cycle."""
+    total, node = 0.0, start
+    for _ in range(graph.num_nodes):
+        if node == end:
+            return total
+        following = next_node(node)
+        hop = (graph.edge_cost(following, node) if backwards
+               else graph.edge_cost(node, following))
+        assert hop is not None, f"{node} -> {following} is not a hop"
+        total += hop
+        node = following
+    raise AssertionError(f"no chain from {start} to {end}")
+
+
+@pytest.mark.parametrize("sql_style", ["nsql", "tsql"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("lthd", [3.0, 8.0])
+@pytest.mark.parametrize("family", sorted(ORACLE_GRAPHS))
+def test_segtable_matches_its_definition(family, lthd, backend, sql_style):
+    """TOutSegs is exactly the definition, TInSegs is its transpose, and
+    every link chain walks a real path of the stated cost: ``pid`` back
+    from ``tid`` to ``fid`` in TOutSegs, ``pid`` (the successor) forward
+    from ``tid`` to ``fid`` in TInSegs."""
+    graph = ORACLE_GRAPHS[family]()
+    store = make_store(backend, graph)
+    try:
+        build_segtable(store, lthd=lthd, sql_style=sql_style)
+        out_rows, in_rows = segment_tables(store)
+    finally:
+        store.close()
+    out = {(int(r["fid"]), int(r["tid"])): r for r in out_rows}
+    inward = {(int(r["fid"]), int(r["tid"])): r for r in in_rows}
+    assert len(out) == len(out_rows) and len(inward) == len(in_rows)
+    expected = expected_segments(graph, lthd)
+    assert {pair: row["cost"] for pair, row in out.items()} == expected
+    assert {(tid, fid): row["cost"]
+            for (fid, tid), row in inward.items()} == expected
+
+    for (fid, tid), row in out.items():
+        # pid is the node before ``node`` on the fid -> node segment.
+        assert chain_cost(graph, tid, fid,
+                          lambda node, fid=fid: int(out[(fid, node)]["pid"]),
+                          backwards=True) == row["cost"], (fid, tid)
+    for (fid, tid), row in inward.items():
+        # pid is the node after ``node`` on the node -> fid segment.
+        assert chain_cost(graph, tid, fid,
+                          lambda node, fid=fid: int(inward[(fid, node)]["pid"]),
+                          backwards=False) == row["cost"], (fid, tid)
