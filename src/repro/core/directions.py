@@ -30,7 +30,9 @@ class Direction:
         edge_key: TEdges column matched against the frontier node id
             (``fid`` when walking edges forwards, ``tid`` backwards).
         edge_other: TEdges column holding the newly reached node.
-        seg_table: SegTable relation used by BSEG for this direction.
+        seg_table: SegTable relation used by BSEG for this direction
+            (``TInSegs`` is ``TOutSegs`` transposed: its ``pid`` is the
+            node *after* ``tid`` on the segment).
     """
 
     name: str

@@ -308,7 +308,12 @@ class BatchStats:
 
 @dataclass
 class SegTableBuildStats:
-    """Counters collected while constructing the SegTable index."""
+    """Counters collected while constructing the SegTable index.
+
+    One construction loop writes both tables: ``iterations`` counts its
+    rounds, and ``out_segments`` equals ``in_segments`` (``TInSegs`` is
+    ``TOutSegs`` transposed).
+    """
 
     lthd: float = 0.0
     iterations: int = 0

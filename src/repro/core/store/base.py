@@ -10,7 +10,7 @@ charge issued statements, per-operator timing and affected-row counts to the
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.directions import Direction
 from repro.core.stats import QueryStats
@@ -389,37 +389,43 @@ class GraphStore(ABC):
         """Distance of ``nid`` from the direction's origin, if visited."""
 
     # -- SegTable construction statements (Section 4.2) -------------------------------------------------
+    #
+    # One forward loop builds both tables.  Each working segment carries
+    # ``pid`` (the node before ``tid``) and ``sid`` (the node after
+    # ``fid``), so TInSegs is TOutSegs transposed, with ``sid`` as its link.
 
     @abstractmethod
-    def seg_init(self, direction: Direction) -> int:
-        """Initialize the working segment table from ``TEdges`` (deduplicated
-        parallel edges); returns the number of seed segments."""
+    def seg_init(self) -> None:
+        """Seed the working segments from ``TEdges`` (deduplicated parallel
+        edges, no self loops): edge ``(u, v)`` is the unexpanded segment
+        ``(u, v)`` with ``pid = u`` and ``sid = v``."""
 
     @abstractmethod
-    def seg_min_unexpanded(self, direction: Direction) -> Optional[float]:
-        """Minimal cost among unexpanded working segments."""
+    def seg_min_unexpanded(self) -> Optional[float]:
+        """Minimal cost among unexpanded working segments, read through an
+        index rather than a scan of the working segments."""
 
     @abstractmethod
-    def seg_select_frontier(self, direction: Direction, max_cost: float) -> int:
-        """Mark unexpanded working segments with cost <= ``max_cost`` (or the
-        minimal cost) as the construction frontier; returns how many."""
+    def seg_select_frontier(self, max_cost: float) -> int:
+        """Copy the unexpanded working segments with cost <= ``max_cost``
+        into the frontier relation and mark them expanded; returns how
+        many."""
 
     @abstractmethod
-    def seg_expand(self, direction: Direction, lthd: float) -> int:
-        """One construction expansion: join frontier segments with ``TEdges``,
-        keep results within ``lthd``, and merge them into the working table.
-        Returns the number of affected working rows."""
+    def seg_expand(self, lthd: float) -> int:
+        """One construction expansion: join the frontier with ``TEdges``,
+        keep results within ``lthd``, and merge them into the working
+        segments (an improved segment becomes unexpanded again).  Returns
+        the number of affected working rows."""
 
     @abstractmethod
-    def seg_finalize_frontier(self, direction: Direction) -> int:
-        """Mark the last construction frontier as expanded."""
-
-    @abstractmethod
-    def seg_finish(self, direction: Direction, lthd: float,
+    def seg_finish(self, lthd: float,
                    index_mode: str = IndexMode.CLUSTERED) -> int:
-        """Materialize the final SegTable relation for ``direction`` from the
-        working table; returns the number of stored segments."""
+        """Write TOutSegs ``(fid, tid, pid, cost)`` and TInSegs ``(tid,
+        fid, sid, cost)`` from the working segments, index both on ``fid``,
+        and record ``lthd``; returns the number of segments per table."""
 
     @abstractmethod
-    def seg_rows(self, direction: Direction) -> List[Dict[str, object]]:
-        """Return the stored segments for ``direction`` (tests / persistence)."""
+    def seg_rows(self) -> Tuple[List[Dict[str, object]],
+                                List[Dict[str, object]]]:
+        """The stored ``(TOutSegs, TInSegs)`` rows (tests / persistence)."""

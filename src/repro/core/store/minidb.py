@@ -13,7 +13,7 @@ Listings 2–4 and charges itself to the current
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.directions import BACKWARD_DIRECTION, Direction, FORWARD_DIRECTION, INFINITY
 from repro.core.sqlstyle import NSQL, validate_sql_style
@@ -39,6 +39,11 @@ def _pair_key(fid: int, tid: int) -> int:
     return fid * _PAIR_BASE + tid
 
 
+# The SegTable construction's working table: ``pid`` is the node before
+# ``tid`` and ``sid`` the node after ``fid`` on the segment.
+_SEG_WORK_COLUMNS = ("pairkey", "fid", "tid", "pid", "sid", "cost", "f")
+
+
 class MiniDBGraphStore(GraphStore):
     """Graph store backed by :class:`repro.rdb.engine.Database`.
 
@@ -60,6 +65,7 @@ class MiniDBGraphStore(GraphStore):
         self._owns_database = database is None
         self.index_mode = IndexMode.CLUSTERED
         self._graph_loaded = False
+        self._seg_frontier: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------ helpers
 
@@ -506,199 +512,121 @@ class MiniDBGraphStore(GraphStore):
         return None
 
     # -------------------------------------------------------------- SegTable construction
+    #
+    # ``TSegsWork`` holds every segment found so far, its unexpanded rows
+    # (``f = 0``) reached through the index on ``f``; ``_seg_frontier``
+    # holds the current frontier.
 
-    def _work_table_name(self, direction: Direction) -> str:
-        return "TOutSegsWork" if direction.is_forward else "TInSegsWork"
-
-    def seg_init(self, direction: Direction) -> int:
-        """Seed the working table with the (deduplicated) edges of ``TEdges``.
-
-        For the backward direction the edges are reversed so the working
-        table is keyed by the segment end node.
-        """
+    def seg_init(self) -> None:
+        """Seed ``TSegsWork`` with the (deduplicated) edges of ``TEdges``."""
         self._count_statement()
-        name = self._work_table_name(direction)
-        if self.database.has_table(name):
-            self.database.drop_table(name)
+        if self.database.has_table("TSegsWork"):
+            self.database.drop_table("TSegsWork")
         work = self.database.create_table(
-            name,
-            [
-                Column("pairkey", INTEGER),
-                Column("fid", INTEGER),
-                Column("tid", INTEGER),
-                Column("pid", INTEGER),
-                Column("cost", FLOAT),
-                Column("f", INTEGER),
-            ],
+            "TSegsWork",
+            [Column(name, FLOAT if name == "cost" else INTEGER)
+             for name in _SEG_WORK_COLUMNS],
         )
-        work.create_index("pairkey", unique=True)
-        work.create_index("fid")
-        cheapest: Dict[tuple, Dict[str, object]] = {}
+        cheapest: Dict[int, Dict[str, object]] = {}
         for edge in self.edges.scan():
-            if direction.is_forward:
-                fid, tid = int(edge["fid"]), int(edge["tid"])
-            else:
-                fid, tid = int(edge["tid"]), int(edge["fid"])
-            if fid == tid:
-                continue
-            key = (fid, tid)
-            if key not in cheapest or edge["cost"] < cheapest[key]["cost"]:
-                cheapest[key] = {
-                    "pairkey": _pair_key(fid, tid),
-                    "fid": fid,
-                    "tid": tid,
-                    "pid": fid,
-                    "cost": edge["cost"],
-                    "f": 0,
-                }
+            fid, tid = int(edge["fid"]), int(edge["tid"])
+            key = _pair_key(fid, tid)
+            if fid != tid and (key not in cheapest
+                               or edge["cost"] < cheapest[key]["cost"]):
+                cheapest[key] = {"pairkey": key, "fid": fid, "tid": tid,
+                                 "pid": fid, "sid": tid,
+                                 "cost": edge["cost"], "f": 0}
         work.insert_many(cheapest.values())
-        return len(cheapest)
+        work.create_index("pairkey", unique=True)
+        work.create_index("f")
 
-    def seg_min_unexpanded(self, direction: Direction) -> Optional[float]:
+    def seg_min_unexpanded(self) -> Optional[float]:
         """Minimal cost among unexpanded working segments."""
         self._count_statement()
-        work = self._table(self._work_table_name(direction))
-        best = INFINITY
-        for row in work.scan():
-            if row["f"] == 0 and row["cost"] < best:
-                best = row["cost"]
-        return None if best == INFINITY else best
+        costs = [row["cost"] for row in self._table("TSegsWork").lookup("f", 0)]
+        return min(costs) if costs else None
 
-    def seg_select_frontier(self, direction: Direction, max_cost: float) -> int:
-        """Mark unexpanded segments with cost <= ``max_cost`` (or minimal)."""
+    def seg_select_frontier(self, max_cost: float) -> int:
+        """Move unexpanded segments with cost <= ``max_cost`` to the frontier."""
         self._count_statement()
-        work = self._table(self._work_table_name(direction))
-        minimal = INFINITY
-        for row in work.scan():
-            if row["f"] == 0 and row["cost"] < minimal:
-                minimal = row["cost"]
-        if minimal == INFINITY:
-            return 0
-        threshold = max(max_cost, minimal)
-        return work.update_where(
-            lambda row: row["f"] == 0 and row["cost"] <= threshold,
-            lambda row: {"f": 2},
-        )
+        work = self._table("TSegsWork")
+        self._seg_frontier = []
+        for rid, row in work.lookup_with_rids("f", 0):
+            if row["cost"] <= max_cost:
+                self._seg_frontier.append(row)
+                work.update_by_rid(rid, dict(row, f=1), old_row=row)
+        return len(self._seg_frontier)
 
-    def seg_expand(self, direction: Direction, lthd: float) -> int:
+    def seg_expand(self, lthd: float) -> int:
         """One construction expansion over the frontier segments."""
         self._count_statement()
-        work = self._table(self._work_table_name(direction))
-        frontier = [row for row in work.scan() if row["f"] == 2]
         candidates: List[Dict[str, object]] = []
-        for segment in frontier:
+        for segment in self._seg_frontier:
             # Extend the segment by one original edge leaving its end node.
             end_node = int(segment["tid"])
-            for edge_row in self.edges.lookup(direction.edge_key, end_node):
-                new_tid = int(edge_row[direction.edge_other])
-                if new_tid == segment["fid"]:
-                    continue
+            for edge_row in self.edges.lookup("fid", end_node):
+                new_tid = int(edge_row["tid"])
                 new_cost = segment["cost"] + edge_row["cost"]
-                if new_cost > lthd:
-                    continue
-                candidates.append(
-                    {
-                        "fid": int(segment["fid"]),
-                        "tid": new_tid,
-                        "pid": end_node,
-                        "cost": new_cost,
-                    }
-                )
+                if new_tid != segment["fid"] and new_cost <= lthd:
+                    candidates.append({
+                        "pairkey": _pair_key(int(segment["fid"]), new_tid),
+                        "fid": int(segment["fid"]), "tid": new_tid,
+                        "pid": end_node, "sid": segment["sid"],
+                        "cost": new_cost, "f": 0})
         if not candidates:
             return 0
         if validate_sql_style(self.sql_style) == NSQL:
             ranked = window_row_number(
-                [dict(row, pairkey=_pair_key(row["fid"], row["tid"])) for row in candidates],
-                partition_by=["pairkey"],
+                candidates, partition_by=["pairkey"],
                 order_by=[(lambda row: row["cost"], True)],
             )
             deduplicated = [row for row in ranked if row["rownum"] == 1]
+            merge_function = merge_into
         else:
             minima: Dict[int, Dict[str, object]] = {}
             for row in candidates:
-                key = _pair_key(row["fid"], row["tid"])
+                key = row["pairkey"]
                 if key not in minima or row["cost"] < minima[key]["cost"]:
-                    minima[key] = dict(row, pairkey=key)
+                    minima[key] = row
             deduplicated = list(minima.values())
-
-        def matched_condition(target: Dict[str, object], source: Dict[str, object]) -> bool:
-            return target["cost"] > source["cost"]
-
-        def matched_update(target: Dict[str, object],
-                           source: Dict[str, object]) -> Dict[str, object]:
-            return {"cost": source["cost"], "pid": source["pid"], "f": 0}
-
-        def not_matched_insert(source: Dict[str, object]) -> Dict[str, object]:
-            return {
-                "pairkey": source["pairkey"],
-                "fid": source["fid"],
-                "tid": source["tid"],
-                "pid": source["pid"],
-                "cost": source["cost"],
-                "f": 0,
-            }
-
-        merge_function = (
-            merge_into if validate_sql_style(self.sql_style) == NSQL
-            else merge_with_update_insert
-        )
+            merge_function = merge_with_update_insert
         result = merge_function(
-            work, deduplicated, key_column="pairkey", source_key="pairkey",
-            matched_condition=matched_condition,
-            matched_update=matched_update,
-            not_matched_insert=not_matched_insert,
+            self._table("TSegsWork"), deduplicated,
+            key_column="pairkey", source_key="pairkey",
+            matched_condition=lambda target, source: (
+                target["cost"] > source["cost"]),
+            matched_update=lambda target, source: {
+                "cost": source["cost"], "pid": source["pid"],
+                "sid": source["sid"], "f": 0},
+            not_matched_insert=lambda source: {
+                name: source[name] for name in _SEG_WORK_COLUMNS},
         )
         return result.affected
 
-    def seg_finalize_frontier(self, direction: Direction) -> int:
-        """Mark the last construction frontier as expanded."""
-        self._count_statement()
-        work = self._table(self._work_table_name(direction))
-        return work.update_where(
-            lambda row: row["f"] == 2,
-            lambda row: {"f": 1},
-        )
-
-    def seg_finish(self, direction: Direction, lthd: float,
+    def seg_finish(self, lthd: float,
                    index_mode: str = IndexMode.CLUSTERED) -> int:
-        """Materialize ``TOutSegs`` / ``TInSegs`` from the working table."""
+        """Materialize ``TOutSegs`` and, transposed, ``TInSegs``."""
         self._count_statement()
-        index_mode = IndexMode.validate(index_mode)
-        work = self._table(self._work_table_name(direction))
-        name = direction.seg_table
-        if self.database.has_table(name):
-            self.database.drop_table(name)
-        table = self.database.create_table(
-            name,
-            [
-                Column("fid", INTEGER),
-                Column("tid", INTEGER),
-                Column("pid", INTEGER),
-                Column("cost", FLOAT),
-            ],
-        )
-        rows = [
-            {"fid": row["fid"], "tid": row["tid"], "pid": row["pid"], "cost": row["cost"]}
-            for row in work.scan()
-        ]
-        if index_mode == IndexMode.CLUSTERED:
-            table.bulk_load(rows, order_by="fid")
-            table.create_index("fid", clustered=True)
-        elif index_mode == IndexMode.NONCLUSTERED:
-            table.bulk_load(rows)
-            table.create_index("fid")
-        else:
-            table.bulk_load(rows)
-        self.database.drop_table(self._work_table_name(direction))
-        self.has_segtable = True
-        self.segtable_lthd = lthd
-        return table.row_count
+        rows = list(self._table("TSegsWork").scan())
+        self.load_segtable(
+            [{"fid": row["fid"], "tid": row["tid"], "pid": row["pid"],
+              "cost": row["cost"]} for row in rows],
+            [{"fid": row["tid"], "tid": row["fid"], "pid": row["sid"],
+              "cost": row["cost"]} for row in rows],
+            lthd, index_mode)
+        self.database.drop_table("TSegsWork")
+        self._seg_frontier = []
+        return len(rows)
 
-    def seg_rows(self, direction: Direction) -> List[Dict[str, object]]:
-        """Return the stored segments for ``direction``."""
-        if not self.database.has_table(direction.seg_table):
-            return []
-        return list(self._table(direction.seg_table).scan())
+    def seg_rows(self) -> Tuple[List[Dict[str, object]],
+                                List[Dict[str, object]]]:
+        """The stored ``(TOutSegs, TInSegs)`` rows."""
+        def rows(name: str) -> List[Dict[str, object]]:
+            if not self.database.has_table(name):
+                return []
+            return list(self._table(name).scan())
+
+        return rows("TOutSegs"), rows("TInSegs")
 
 
 def _create_minidb_store(path: Optional[str] = None,

@@ -51,7 +51,6 @@ from repro.core.deadline import (
     deadline_from_timeout,
     remaining_budget,
 )
-from repro.core.directions import BACKWARD_DIRECTION, FORWARD_DIRECTION
 from repro.core.multi import (
     METHOD_HOPS,
     METHOD_REACH,
@@ -212,8 +211,7 @@ class _GraphHost:
         file)."""
         store = self.store
         self.segment_rows = (None if store.supports_clone() else
-                             (store.seg_rows(FORWARD_DIRECTION),
-                              store.seg_rows(BACKWARD_DIRECTION)))
+                             store.seg_rows())
 
 
 class PathService:
@@ -678,10 +676,11 @@ class PathService:
         Rebuilding with the same parameters returns the previous
         :class:`SegTableBuildStats` without touching the store; pass
         ``force=True`` (or different parameters) to rebuild.  The memo key
-        is ``(graph name, lthd, sql_style, index_mode, content
-        fingerprint)`` — keying on the graph's *content* means a graph
-        re-registered under a reused name (or reattached from a catalog
-        whose file changed) can never be served a stale memoized table.
+        is ``(graph name, lthd, sql_style, index_mode)`` and lives on the
+        graph's host, whose graph is frozen: a graph dropped and
+        re-registered under a reused name (or reattached from a catalog)
+        gets a new host with no memo, so it can never be served a stale
+        table, and no build hashes the graph to find that out.
 
         On a catalog-bound service the finished build is persisted:
         metadata and construction statistics go into the graph's manifest
@@ -734,9 +733,9 @@ class PathService:
     @staticmethod
     def _segtable_memo_key(host: _GraphHost, lthd: float, sql_style: str,
                            mode: str) -> Tuple[Hashable, ...]:
-        """Memo key of one SegTable build: name, parameters, and the
-        graph's content fingerprint (never the name alone)."""
-        return (host.name, lthd, sql_style, mode, host.fingerprint)
+        """Memo key of one SegTable build on ``host``: name and parameters.
+        The host's graph never changes, so its content needs no key."""
+        return (host.name, lthd, sql_style, mode)
 
     def segtable_stats(self, graph: str = DEFAULT_GRAPH
                        ) -> Optional[SegTableBuildStats]:

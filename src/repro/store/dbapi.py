@@ -57,12 +57,7 @@ from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple)
 from urllib.parse import parse_qs, urlencode, urlsplit, urlunsplit
 
-from repro.core.directions import (
-    BACKWARD_DIRECTION,
-    Direction,
-    FORWARD_DIRECTION,
-    INFINITY,
-)
+from repro.core.directions import Direction, INFINITY
 from repro.core.sqlstyle import NSQL, validate_sql_style
 from repro.core.stats import OPERATOR_E, OPERATOR_F, OPERATOR_M
 from repro.core.store.base import GraphStore, IndexMode
@@ -401,9 +396,6 @@ class DBAPIGraphStore(GraphStore):
     def _seg_relation(self, direction: Direction) -> str:
         return self._toutsegs if direction.is_forward else self._tinsegs
 
-    def _work_relation(self, direction: Direction) -> str:
-        return self._seg_relation(direction) + "work"
-
     # ----------------------------------------------------------- capabilities
 
     def max_connections(self) -> Optional[int]:
@@ -539,8 +531,7 @@ class DBAPIGraphStore(GraphStore):
         try:
             dest.load_graph(self.export_graph(), self.index_mode)
             if self.has_persistent_segtable():
-                dest.load_segtable(self.seg_rows(FORWARD_DIRECTION),
-                                   self.seg_rows(BACKWARD_DIRECTION),
+                dest.load_segtable(*self.seg_rows(),
                                    self.persistent_segtable_lthd(),
                                    self.index_mode)
         finally:
@@ -622,24 +613,44 @@ class DBAPIGraphStore(GraphStore):
                       in_segments: Sequence[Dict[str, object]],
                       lthd: float,
                       index_mode: str = IndexMode.CLUSTERED) -> None:
-        index_mode = IndexMode.validate(index_mode)
         p = self._p
-        integer, real = self.dialect.int_type, self.dialect.real_type
-        for name, rows in ((self._toutsegs, out_segments),
-                           (self._tinsegs, in_segments)):
-            self._execute_unlogged(f"DROP TABLE IF EXISTS {name}")
-            self._execute_unlogged(
-                f"CREATE TABLE {name} (fid {integer}, tid {integer}, "
-                f"pid {integer}, cost {real})")
+
+        def fill(name: str, outward: bool) -> int:
             seg_rows = [(row["fid"], row["tid"], row["pid"], row["cost"])
-                        for row in rows]
+                        for row in (out_segments if outward else in_segments)]
             if seg_rows:
                 self._run(
                     f"INSERT INTO {name} (fid, tid, pid, cost) "
                     f"VALUES ({p}, {p}, {p}, {p})", seg_rows, many=True)
-            if index_mode != IndexMode.NONE:
+            return len(seg_rows)
+
+        self._write_segtables(fill, index_mode)
+        self._publish_segtable(lthd)
+
+    def _write_segtables(self, fill: Callable[[str, bool], int],
+                         index_mode: str) -> int:
+        """Recreate TOutSegs and TInSegs, ``fill(name, outward)`` each,
+        and build their ``fid`` indexes once the rows are in.  Returns the
+        TOutSegs row count."""
+        index_mode = IndexMode.validate(index_mode)
+        integer, real = self.dialect.int_type, self.dialect.real_type
+        names = (self._toutsegs, self._tinsegs)
+        stored = []
+        for name, outward in zip(names, (True, False)):
+            self._execute_unlogged(f"DROP TABLE IF EXISTS {name}")
+            self._execute_unlogged(
+                f"CREATE TABLE {name} (fid {integer}, tid {integer}, "
+                f"pid {integer}, cost {real})")
+            stored.append(fill(name, outward))
+        if index_mode != IndexMode.NONE:
+            for name in names:
                 self._execute_unlogged(
                     f"CREATE INDEX ix_{name}_fid ON {name} (fid)")
+        return stored[0]
+
+    def _publish_segtable(self, lthd: float) -> None:
+        """Record ``lthd`` and commit: pooled reader clones are separate
+        sessions and only see committed data."""
         self._record_meta("segtable_lthd", repr(float(lthd)))
         self._commit()
         self.has_segtable = True
@@ -673,8 +684,7 @@ class DBAPIGraphStore(GraphStore):
         """
         try:
             for name in (self._tnodes, self._tedges, self._toutsegs,
-                         self._tinsegs, self._toutsegs + "work",
-                         self._tinsegs + "work", self._meta):
+                         self._tinsegs, self._meta):
                 self._execute_unlogged(f"DROP TABLE IF EXISTS {name}")
             self._commit()
         except BackendConnectionError:
@@ -998,71 +1008,70 @@ class DBAPIGraphStore(GraphStore):
         return float(row[0])
 
     # --------------------------------------------------- SegTable construction
+    #
+    # Connection-private relations: ``tsegwork`` holds every segment found
+    # so far, its unexpanded rows (``f = 0``) reached through the partial
+    # index ``ix_tsegwork_open``; ``tsegfront`` holds the current frontier.
 
-    def seg_init(self, direction: Direction) -> int:
-        name = self._work_relation(direction)
-        fid_col, tid_col = (
-            ("fid", "tid") if direction.is_forward else ("tid", "fid"))
-        self._execute_unlogged(f"DROP TABLE IF EXISTS {name}")
+    def seg_init(self) -> None:
+        self._execute_unlogged("DROP TABLE IF EXISTS tsegwork")
         self._execute(
             f"""
-            CREATE TABLE {name} AS
-            SELECT {fid_col} AS fid, {tid_col} AS tid, {fid_col} AS pid,
-                   min(cost) AS cost, 0 AS f
+            CREATE TEMP TABLE tsegwork AS
+            SELECT fid, tid, fid AS pid, tid AS sid, min(cost) AS cost, 0 AS f
             FROM {self._tedges}
-            WHERE {fid_col} != {tid_col}
-            GROUP BY {fid_col}, {tid_col}
+            WHERE fid != tid
+            GROUP BY fid, tid
             """
         )
         self._execute_unlogged(
-            f"CREATE UNIQUE INDEX ix_{name}_pair ON {name} (fid, tid)")
-        return int(self._scalar(self._execute_unlogged(
-            f"SELECT count(*) FROM {name}")))
+            "CREATE UNIQUE INDEX ix_tsegwork_pair ON tsegwork (fid, tid)")
+        self._execute_unlogged(
+            "CREATE INDEX ix_tsegwork_open ON tsegwork (cost) WHERE f = 0")
 
-    def seg_min_unexpanded(self, direction: Direction) -> Optional[float]:
-        name = self._work_relation(direction)
+    def seg_min_unexpanded(self) -> Optional[float]:
         value = self._scalar(self._execute(
-            f"SELECT min(cost) FROM {name} WHERE f = 0"))
+            "SELECT min(cost) FROM tsegwork WHERE f = 0"))
         return None if value is None else float(value)
 
-    def seg_select_frontier(self, direction: Direction,
-                            max_cost: float) -> int:
-        name = self._work_relation(direction)
-        cursor = self._execute(
+    def seg_select_frontier(self, max_cost: float) -> int:
+        self._execute_unlogged("DROP TABLE IF EXISTS tsegfront")
+        self._execute(
             f"""
-            UPDATE {name} SET f = 2
-            WHERE f = 0 AND (cost <= {self._p} OR cost = (
-                SELECT min(inner_s.cost) FROM {name} inner_s
-                WHERE inner_s.f = 0))
+            CREATE TEMP TABLE tsegfront AS
+            SELECT fid, tid, sid, cost FROM tsegwork
+            WHERE f = 0 AND cost <= {self._p}
             """,
             (max_cost,),
         )
+        cursor = self._execute(
+            f"UPDATE tsegwork SET f = 1 WHERE f = 0 AND cost <= {self._p}",
+            (max_cost,))
         return max(0, cursor.rowcount)
 
-    def seg_expand(self, direction: Direction, lthd: float) -> int:
-        name = self._work_relation(direction)
-        key_col, other_col = direction.edge_key, direction.edge_other
+    def seg_expand(self, lthd: float) -> int:
         p = self._p
         candidate_sql = f"""
-            SELECT s.fid AS fid, e.{other_col} AS tid, s.tid AS pid,
+            SELECT s.fid AS fid, e.tid AS tid, s.tid AS pid, s.sid AS sid,
                    s.cost + e.cost AS cost
-            FROM {name} s CROSS JOIN {self._tedges} e
-            WHERE s.tid = e.{key_col} AND s.f = 2 AND s.cost + e.cost <= {p}
-              AND e.{other_col} != s.fid
+            FROM tsegfront s CROSS JOIN {self._tedges} e
+            WHERE s.tid = e.fid AND s.cost + e.cost <= {p}
+              AND e.tid != s.fid
         """
         if validate_sql_style(self.sql_style) == NSQL:
             cursor = self._execute(
                 f"""
-                INSERT INTO {name} (fid, tid, pid, cost, f)
-                SELECT fid, tid, pid, cost, 0 FROM (
-                    SELECT fid, tid, pid, cost,
+                INSERT INTO tsegwork (fid, tid, pid, sid, cost, f)
+                SELECT fid, tid, pid, sid, cost, 0 FROM (
+                    SELECT fid, tid, pid, sid, cost,
                            row_number() OVER (PARTITION BY fid, tid
                                               ORDER BY cost) AS rownum
                     FROM ({candidate_sql}) AS cand
                 ) AS ranked WHERE rownum = 1
                 ON CONFLICT (fid, tid) DO UPDATE SET
-                    cost = excluded.cost, pid = excluded.pid, f = 0
-                WHERE {name}.cost > excluded.cost
+                    cost = excluded.cost, pid = excluded.pid,
+                    sid = excluded.sid, f = 0
+                WHERE tsegwork.cost > excluded.cost
                 """,
                 (lthd,),
             )
@@ -1071,7 +1080,8 @@ class DBAPIGraphStore(GraphStore):
         self._execute(
             f"""
             CREATE TEMP TABLE tmp_segcand AS
-            SELECT cand.fid, cand.tid, min(cand.pid) AS pid, cand.cost
+            SELECT cand.fid, cand.tid, min(cand.pid) AS pid,
+                   min(cand.sid) AS sid, cand.cost
             FROM ({candidate_sql}) AS cand
             JOIN (SELECT fid, tid, min(cost) AS mincost
                   FROM ({candidate_sql}) AS inner_cand
@@ -1082,65 +1092,62 @@ class DBAPIGraphStore(GraphStore):
             """,
             (lthd, lthd),
         )
+        matched = ("FROM tmp_segcand t "
+                   "WHERE t.fid = tsegwork.fid AND t.tid = tsegwork.tid")
         updated = max(0, self._execute(
             f"""
-            UPDATE {name} SET
-                cost = (SELECT cost FROM tmp_segcand t
-                        WHERE t.fid = {name}.fid AND t.tid = {name}.tid),
-                pid = (SELECT pid FROM tmp_segcand t
-                       WHERE t.fid = {name}.fid AND t.tid = {name}.tid),
+            UPDATE tsegwork SET
+                cost = (SELECT t.cost {matched}),
+                pid = (SELECT t.pid {matched}),
+                sid = (SELECT t.sid {matched}),
                 f = 0
-            WHERE EXISTS (SELECT 1 FROM tmp_segcand t
-                          WHERE t.fid = {name}.fid AND t.tid = {name}.tid
-                            AND t.cost < {name}.cost)
+            WHERE (fid, tid) IN (
+                SELECT t.fid, t.tid FROM tmp_segcand t
+                WHERE t.cost < (SELECT w.cost FROM tsegwork w
+                                WHERE w.fid = t.fid AND w.tid = t.tid))
             """
         ).rowcount)
         inserted = max(0, self._execute(
-            f"""
-            INSERT INTO {name} (fid, tid, pid, cost, f)
-            SELECT fid, tid, pid, cost, 0 FROM tmp_segcand t
-            WHERE NOT EXISTS (SELECT 1 FROM {name} w
+            """
+            INSERT INTO tsegwork (fid, tid, pid, sid, cost, f)
+            SELECT fid, tid, pid, sid, cost, 0 FROM tmp_segcand t
+            WHERE NOT EXISTS (SELECT 1 FROM tsegwork w
                               WHERE w.fid = t.fid AND w.tid = t.tid)
             """
         ).rowcount)
         self._execute_unlogged("DROP TABLE IF EXISTS tmp_segcand")
         return updated + inserted
 
-    def seg_finalize_frontier(self, direction: Direction) -> int:
-        name = self._work_relation(direction)
-        cursor = self._execute(f"UPDATE {name} SET f = 1 WHERE f = 2")
-        return max(0, cursor.rowcount)
-
-    def seg_finish(self, direction: Direction, lthd: float,
+    def seg_finish(self, lthd: float,
                    index_mode: str = IndexMode.CLUSTERED) -> int:
-        index_mode = IndexMode.validate(index_mode)
-        work = self._work_relation(direction)
-        name = self._seg_relation(direction)
-        self._execute_unlogged(f"DROP TABLE IF EXISTS {name}")
-        self._execute(
-            f"CREATE TABLE {name} AS SELECT fid, tid, pid, cost FROM {work}")
-        if index_mode != IndexMode.NONE:
-            self._execute_unlogged(
-                f"CREATE INDEX ix_{name}_fid ON {name} (fid)")
-        self._execute_unlogged(f"DROP TABLE IF EXISTS {work}")
-        # Record the construction threshold durably, then publish: pooled
-        # reader clones are separate server sessions and only see
-        # committed data.
-        self._record_meta("segtable_lthd", repr(float(lthd)))
-        self._commit()
-        self.has_segtable = True
-        self.segtable_lthd = lthd
-        return int(self._scalar(self._execute_unlogged(
-            f"SELECT count(*) FROM {name}")))
+        clustered = IndexMode.validate(index_mode) == IndexMode.CLUSTERED
 
-    def seg_rows(self, direction: Direction) -> List[Dict[str, object]]:
-        name = self._seg_relation(direction)
-        if not self._table_exists(name):
-            return []
-        rows = self._execute_unlogged(
-            f"SELECT fid, tid, pid, cost FROM {name}").fetchall()
-        return [dict(zip(["fid", "tid", "pid", "cost"], row))
-                for row in rows]
+        def fill(name: str, outward: bool) -> int:
+            # A clustered table is written in ``fid`` order, so the
+            # segments BSEG probes through the ``fid`` index sit together.
+            columns, key = (("fid, tid, pid", "fid") if outward
+                            else ("tid, fid, sid", "tid"))
+            order = f"ORDER BY {key}" if clustered else ""
+            return max(0, self._execute(
+                f"INSERT INTO {name} (fid, tid, pid, cost) "
+                f"SELECT {columns}, cost FROM tsegwork {order}").rowcount)
+
+        stored = self._write_segtables(fill, index_mode)
+        self._execute_unlogged("DROP TABLE IF EXISTS tsegwork")
+        self._execute_unlogged("DROP TABLE IF EXISTS tsegfront")
+        self._publish_segtable(lthd)
+        return stored
+
+    def seg_rows(self) -> Tuple[List[Dict[str, object]],
+                                List[Dict[str, object]]]:
+        def rows(name: str) -> List[Dict[str, object]]:
+            if not self._table_exists(name):
+                return []
+            return [dict(zip(("fid", "tid", "pid", "cost"), row))
+                    for row in self._execute_unlogged(
+                        f"SELECT fid, tid, pid, cost FROM {name}").fetchall()]
+
+        return rows(self._toutsegs), rows(self._tinsegs)
 
 
 def _create_dbapi_store(path: Optional[str] = None,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.directions import BACKWARD_DIRECTION, FORWARD_DIRECTION
 from repro.core.segtable import SegTableConfig, build_segtable
 from repro.core.store.minidb import MiniDBGraphStore
 from repro.core.store.sqlite import SQLiteGraphStore
@@ -43,7 +42,7 @@ class TestConstructionCorrectness:
         build_segtable(store, lthd=3.0)
         segments = {
             (int(row["fid"]), int(row["tid"])): row["cost"]
-            for row in store.seg_rows(FORWARD_DIRECTION)
+            for row in store.seg_rows()[0]
         }
         for source in graph.nodes():
             reachable = single_source_distances(graph, source, max_distance=3.0)
@@ -61,11 +60,11 @@ class TestConstructionCorrectness:
         build_segtable(store, lthd=3.0)
         out_pairs = {
             (int(row["fid"]), int(row["tid"])): row["cost"]
-            for row in store.seg_rows(FORWARD_DIRECTION)
+            for row in store.seg_rows()[0]
         }
         in_pairs = {
             (int(row["tid"]), int(row["fid"])): row["cost"]
-            for row in store.seg_rows(BACKWARD_DIRECTION)
+            for row in store.seg_rows()[1]
         }
         assert out_pairs == in_pairs
         store.close()
@@ -75,7 +74,7 @@ class TestConstructionCorrectness:
         store = make_store(backend, graph)
         build_segtable(store, lthd=3.0)
         rows = {(int(r["fid"]), int(r["tid"])): int(r["pid"])
-                for r in store.seg_rows(FORWARD_DIRECTION)}
+                for r in store.seg_rows()[0]}
         # The shortest 0 -> 2 path is 0 -> 1 -> 2, so pre(2) must be 1.
         assert rows[(0, 2)] == 1
         store.close()
@@ -104,14 +103,6 @@ class TestConstructionCorrectness:
         assert stats.encoding_number == stats.out_segments + stats.in_segments
         store.close()
 
-    def test_forward_only_build(self, backend):
-        graph = diamond_graph()
-        store = make_store(backend, graph)
-        stats = build_segtable(store, lthd=3.0, build_backward=False)
-        assert stats.out_segments > 0
-        assert stats.in_segments == 0
-        store.close()
-
     def test_tsql_build_matches_nsql(self, backend):
         graph = diamond_graph()
         nsql_store = make_store(backend, graph)
@@ -120,7 +111,7 @@ class TestConstructionCorrectness:
         build_segtable(tsql_store, lthd=3.0, sql_style="tsql")
         to_set = lambda store: {
             (int(r["fid"]), int(r["tid"]), r["cost"])
-            for r in store.seg_rows(FORWARD_DIRECTION)
+            for r in store.seg_rows()[0]
         }
         assert to_set(nsql_store) == to_set(tsql_store)
         nsql_store.close()
@@ -160,12 +151,6 @@ ORACLE_GRAPHS = {
     "random": lambda: random_graph(50, avg_degree=3.0, weight_range=(1, 6),
                                    seed=12),
 }
-
-
-def segment_tables(store):
-    """The stored ``(TOutSegs, TInSegs)`` rows."""
-    return (store.seg_rows(FORWARD_DIRECTION),
-            store.seg_rows(BACKWARD_DIRECTION))
 
 
 def expected_segments(graph: Graph, lthd: float):
@@ -215,7 +200,7 @@ def test_segtable_matches_its_definition(family, lthd, backend, sql_style):
     store = make_store(backend, graph)
     try:
         build_segtable(store, lthd=lthd, sql_style=sql_style)
-        out_rows, in_rows = segment_tables(store)
+        out_rows, in_rows = store.seg_rows()
     finally:
         store.close()
     out = {(int(r["fid"]), int(r["tid"])): r for r in out_rows}

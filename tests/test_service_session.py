@@ -113,6 +113,37 @@ class TestSegTableMemoization:
             service.add_graph("default", small_grid_graph)
             assert service.segtable_stats() is None
 
+    def test_catalog_less_builds_never_hash_the_graph(
+            self, small_grid_graph, tmp_path, monkeypatch):
+        """The memo lives on the graph's host, whose graph is frozen, so
+        neither a build, its memoized repeat, nor adopting a built
+        database fingerprints the graph."""
+        import repro.service.session as session_module
+
+        def refuse(graph):
+            raise AssertionError("a catalog-less build hashed the graph")
+
+        monkeypatch.setattr(session_module, "fingerprint_graph", refuse)
+        db_path = str(tmp_path / "g.db")
+        with PathService() as service:
+            service.add_graph("g", small_grid_graph, backend="sqlite",
+                              db_path=db_path)
+            first = service.build_segtable("g", lthd=5)
+            assert service.build_segtable("g", lthd=5) is first
+        with PathService() as service:
+            service.adopt_graph("g", backend="sqlite", dsn=db_path)
+            assert service.segtable_stats("g") is not None
+
+    def test_readded_graph_under_same_name_rebuilds(self, small_grid_graph):
+        with PathService() as service:
+            service.add_graph("default", small_grid_graph)
+            first = service.build_segtable(lthd=5)
+            service.drop_graph("default")
+            service.add_graph("default", grid_graph(4, 4, seed=3))
+            second = service.build_segtable(lthd=5)
+            assert second is not first
+            assert service.segtable_builds == 2
+
     def test_bseg_runs_after_build(self, small_grid_graph):
         expected = dijkstra_shortest_path(small_grid_graph, 0, 24).distance
         with PathService() as service:

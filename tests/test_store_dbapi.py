@@ -358,3 +358,73 @@ class TestExpansionPlans:
                  for sql, steps in planned for step in steps
                  if re.match(r"SCAN e\b", step)}
         assert not scans, f"{len(scans)} statement shape(s) scan e: {scans}"
+
+
+class TestConstructionPlans:
+    """SegTable construction reaches its working segments through indexes:
+    the min probe and the frontier selection through the index on the
+    unexpanded rows, the merge through the pair key.  Only ``seg_finish``,
+    which copies every working segment out, may scan them.
+
+    Every statement naming the working relation is planned as it runs,
+    with its real parameters; a scan through an alias of the relation
+    counts as a scan of it.
+    """
+
+    WORK = re.compile(r"\b\w*segs?work\b")
+    NOT_ALIASES = {"WHERE", "SET", "GROUP", "ORDER", "JOIN", "CROSS", "ON",
+                   "LIMIT", "UNION", "AS"}
+
+    def aliases(self, sql):
+        names = set(self.WORK.findall(sql))
+        for name in list(names):
+            for alias in re.findall(rf"\b{name}\s+(?:AS\s+)?([A-Za-z_]\w*)",
+                                    sql):
+                if alias.upper() not in self.NOT_ALIASES:
+                    names.add(alias)
+        return names
+
+    def test_no_construction_statement_scans_the_working_segments(
+            self, monkeypatch):
+        planned = []
+        method = []
+        run = DBAPIGraphStore._run
+
+        def explain_then_run(store, sql, parameters=(), many=False):
+            if not many and self.WORK.search(sql):
+                plan = store.connection.execute(
+                    "EXPLAIN QUERY PLAN " + sql, tuple(parameters))
+                planned.append((method[-1] if method else None, sql,
+                                [row[3] for row in plan.fetchall()]))
+            return run(store, sql, parameters, many)
+
+        monkeypatch.setattr(DBAPIGraphStore, "_run", explain_then_run)
+        for name in [name for name in vars(DBAPIGraphStore)
+                     if name.startswith("seg_")]:
+            def traced(store, *args, __name=name,
+                       __original=getattr(DBAPIGraphStore, name), **kwargs):
+                method.append(__name)
+                try:
+                    return __original(store, *args, **kwargs)
+                finally:
+                    method.pop()
+            monkeypatch.setattr(DBAPIGraphStore, name, traced)
+
+        store = create_store("sqlite")
+        try:
+            store.load_graph(power_law_graph(300, edges_per_node=2, seed=7))
+            for style in (NSQL, TSQL):
+                build_segtable(store, 8.0, sql_style=style)
+        finally:
+            store.close()
+
+        reading = {name for name, _, steps in planned if steps}
+        assert {"seg_min_unexpanded", "seg_select_frontier",
+                "seg_expand"} <= reading
+        scans = {" ".join(sql.split()): step
+                 for name, sql, steps in planned if name != "seg_finish"
+                 for step in steps
+                 if re.match(r"SCAN (\w+)", step)
+                 and step.split()[1] in self.aliases(sql)}
+        assert not scans, (f"{len(scans)} construction statement shape(s) "
+                           f"scan the working segments: {scans}")
