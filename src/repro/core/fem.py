@@ -14,14 +14,13 @@ and the iterations stop when a task-specific termination test holds.
 :class:`FEMSearch` captures that skeleton over a relational
 :class:`~repro.rdb.table.Table`: the three operators are supplied as
 callables composed from the engine's physical operators, so the same driver
-runs Dijkstra-style searches, Prim's minimal spanning tree
-(:mod:`repro.core.prim`), reachability (:mod:`repro.core.reachability`) and
-graph pattern matching (:mod:`repro.core.pattern`).
+runs Prim's minimal spanning tree (:mod:`repro.core.prim`) and
+reachability (:mod:`repro.core.reachability`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.deadline import check_deadline
@@ -70,19 +69,12 @@ class FEMSpec:
 
 @dataclass
 class FEMRunStats:
-    """Counters collected by :class:`FEMSearch.run`.
-
-    ``frontier_sizes`` stays empty unless the search was constructed with
-    ``track_frontier_sizes=True`` — on a long search the per-iteration
-    list grows without bound, so callers that want the full frontier
-    history opt in.
-    """
+    """Counters collected by :class:`FEMSearch.run`."""
 
     iterations: int = 0
     frontier_rows: int = 0
     expanded_rows: int = 0
     merged_rows: int = 0
-    frontier_sizes: List[int] = field(default_factory=list)
 
 
 class FEMSearch:
@@ -91,16 +83,11 @@ class FEMSearch:
     Args:
         visited: the table holding ``A^k``.
         spec: the three operators plus termination rules.
-        track_frontier_sizes: record every iteration's frontier size in
-            :attr:`FEMRunStats.frontier_sizes` (off by default — the list
-            grows one entry per iteration, unbounded on long searches).
     """
 
-    def __init__(self, visited: Table, spec: FEMSpec,
-                 track_frontier_sizes: bool = False) -> None:
+    def __init__(self, visited: Table, spec: FEMSpec) -> None:
         self.visited = visited
         self.spec = spec
-        self.track_frontier_sizes = track_frontier_sizes
         self.stats = FEMRunStats()
 
     def run(self) -> FEMRunStats:
@@ -119,8 +106,6 @@ class FEMSearch:
                        operator=self.spec.name) as it_span:
                 frontier = list(
                     self.spec.select_frontier(self.visited, iteration))
-                if self.track_frontier_sizes:
-                    self.stats.frontier_sizes.append(len(frontier))
                 it_span.tag(frontier=len(frontier))
                 if not frontier:
                     break

@@ -167,18 +167,13 @@ class BatchStats:
         per_graph: graph name -> number of queries routed to it.
         per_method: resolved method name -> number of queries.
         concurrency: worker threads the batch ran with (``1`` = serial).
-        single_flight_hits: queries answered by an identical batch member's
-            execution instead of executing — while it was in flight, or
-            afterwards when the result cache is off.
+        single_flight_hits: duplicate batch members answered by replaying
+            their first occurrence's outcome instead of executing (with
+            the result cache off; otherwise the cache answers them).
         queue_time: summed seconds queries spent waiting for a pooled
             store connection (can exceed ``total_time`` across workers).
         execute_time: summed seconds queries spent actually executing
             (can exceed ``total_time`` across workers).
-        shared_frontier_groups: one-to-many Dijkstra runs the batch
-            planner formed: same-source path queries answered by a single
-            shared frontier expansion instead of per-pair searches.
-        shared_frontier_queries: queries answered by those shared runs
-            (each group answers at least two).
         deadline_exceeded: queries whose ``timeout_s`` budget ran out
             mid-batch; each is reported positionally in
             ``BatchResult.errors`` without failing its siblings.
@@ -198,8 +193,6 @@ class BatchStats:
     single_flight_hits: int = 0
     queue_time: float = 0.0
     execute_time: float = 0.0
-    shared_frontier_groups: int = 0
-    shared_frontier_queries: int = 0
     deadline_exceeded: int = 0
 
     _lock = threading.Lock()  # unannotated: a class attribute, not a field
@@ -239,8 +232,6 @@ class BatchStats:
         self.single_flight_hits += other.single_flight_hits
         self.queue_time += other.queue_time
         self.execute_time += other.execute_time
-        self.shared_frontier_groups += other.shared_frontier_groups
-        self.shared_frontier_queries += other.shared_frontier_queries
         self.deadline_exceeded += other.deadline_exceeded
         self.concurrency = max(self.concurrency, other.concurrency)
         for graph, count in other.per_graph.items():
@@ -271,8 +262,6 @@ class BatchStats:
             "single_flight_hits": self.single_flight_hits,
             "queue_time_s": self.queue_time,
             "execute_time_s": self.execute_time,
-            "shared_frontier_groups": self.shared_frontier_groups,
-            "shared_frontier_queries": self.shared_frontier_queries,
             "deadline_exceeded": self.deadline_exceeded,
         }
 
@@ -299,9 +288,6 @@ class BatchStats:
             single_flight_hits=int(data.get("single_flight_hits", 0)),
             queue_time=float(data.get("queue_time_s", 0.0)),
             execute_time=float(data.get("execute_time_s", 0.0)),
-            shared_frontier_groups=int(data.get("shared_frontier_groups", 0)),
-            shared_frontier_queries=int(
-                data.get("shared_frontier_queries", 0)),
             deadline_exceeded=int(data.get("deadline_exceeded", 0)),
         )
 

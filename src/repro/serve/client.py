@@ -290,8 +290,7 @@ class ShardClient:
 
     def execute(self, specs: Sequence[QuerySpec], *,
                 concurrency: int = 1,
-                checkout_timeout: Optional[float] = None,
-                share_frontier: object = False
+                checkout_timeout: Optional[float] = None
                 ) -> Tuple[List[Optional[PathResult]], List[bool],
                            BatchStats, List[Optional[ReproError]]]:
         """Execute a batch slice; returns (results, from_cache, stats,
@@ -306,7 +305,6 @@ class ShardClient:
             "specs": protocol.specs_to_list(specs),
             "concurrency": concurrency,
             "checkout_timeout": checkout_timeout,
-            "share_frontier": share_frontier,
         })
         raw_results = data.get("results")
         raw_cached = data.get("from_cache")

@@ -39,7 +39,6 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import (
     DeadlineExceededError,
-    RemoteProtocolError,
     ReproError,
     ServerOverloadedError,
 )
@@ -347,16 +346,10 @@ class _ShardRequestHandler(BaseHTTPRequestHandler):
         body = self._read_body()
         specs = protocol.specs_from_list(body.get("specs", []))
         timeout = body.get("checkout_timeout")
-        share = body.get("share_frontier", False)
-        if share not in (False, True, "auto"):
-            raise RemoteProtocolError(
-                f"malformed share_frontier on the wire: {share!r}"
-            )
         batch = execute_batch(
             self._service, specs, raise_on_unreachable=False,
             concurrency=int(body.get("concurrency", 1)),
-            checkout_timeout=None if timeout is None else float(timeout),
-            share_frontier=share)
+            checkout_timeout=None if timeout is None else float(timeout))
         return {
             "results": protocol.results_to_list(batch.results),
             "from_cache": list(batch.from_cache),

@@ -119,16 +119,14 @@ class RemoteTransport(ShardTransport):
     def execute_specs(self, specs: Sequence["QuerySpec"], *,
                       concurrency: int = 1,
                       checkout_timeout: Optional[float] = None,
-                      plans: Optional[Sequence["QueryPlan"]] = None,
-                      share_frontier: object = False
+                      plans: Optional[Sequence["QueryPlan"]] = None
                       ) -> "BatchResult":
         # plans cannot ship over the wire; the server re-plans its slice
         # deterministically, so the results are identical anyway.
         from repro.service.batch import BatchResult
         results, from_cache, stats, errors = self._client.execute(
             specs, concurrency=concurrency,
-            checkout_timeout=checkout_timeout,
-            share_frontier=share_frontier)
+            checkout_timeout=checkout_timeout)
         return BatchResult(specs=list(specs), results=results,
                            from_cache=from_cache, stats=stats,
                            errors=errors)

@@ -23,9 +23,9 @@ and the relational engine underneath:
 * with ``concurrency=N`` a batch runs across N worker threads
   (:class:`Executor`): each graph grows a :class:`StorePool` of reader
   connections (cloned or rehydrated per the backend's
-  ``supports_concurrent_readers`` capability), identical in-flight
-  queries collapse onto one execution, and results stay in input order,
-  identical to serial;
+  ``supports_concurrent_readers`` capability), identical queries are
+  grouped before anything runs so the first occurrence executes and the
+  rest replay it, and results and counters stay identical to serial;
 * the shared :class:`ResultCache` also stores **negative verdicts**
   (repeated unreachable pairs skip the full search) and evicts by TTL
   and approximate memory footprint on top of the LRU entry bound;
@@ -35,8 +35,8 @@ and the relational engine underneath:
   them warm across processes — no edge reload, no statistics rescan,
   zero index rebuilds (see :mod:`repro.catalog`);
 * a service opened as one shard of a :class:`repro.shard.ShardRouter`
-  carries its shard name as ``shard_id``, appended to every cache and
-  single-flight key so entries stay disjoint across shards.
+  carries its shard name as ``shard_id``, appended to every cache key so
+  entries stay disjoint across shards.
 """
 
 from repro.core.stats import BatchStats
@@ -50,7 +50,6 @@ from repro.core.store.registry import (
 from repro.service.batch import BatchResult, execute_batch, normalize_queries
 from repro.service.cache import (
     CacheStats,
-    InFlightMap,
     ResultCache,
     estimate_result_bytes,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "CostProfile",
     "DEFAULT_GRAPH",
     "Executor",
-    "InFlightMap",
     "MEMORY_METHODS",
     "METHODS",
     "PathService",

@@ -4,17 +4,17 @@ Every answer the library hands out — a :class:`PathService` query, each
 member of a batch, a :class:`repro.shard.ShardRouter` query over its
 cross-shard cache — goes through an :class:`AnswerPath`.  Callers differ
 only in the key and in what "run" means (a store execution for a
-service, a routed shard call for a router); the cache and single-flight
-policy lives here.  The cache and the flight keep a pristine copy of
-every answer (:func:`copy_result`), so whatever a caller is handed it may
-mutate.
+service, a routed shard call for a router); the cache and replay policy
+lives here.  The cache keeps a pristine copy of every answer and a replay
+hands out a fresh one (:func:`copy_result`), so whatever a caller is
+handed it may mutate.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 from repro.core.path import PathResult
 from repro.core.stats import BatchStats
@@ -22,7 +22,10 @@ from repro.errors import PathNotFoundError
 from repro.obs import MetricsRegistry
 from repro.obs import span as obs_span
 from repro.obs.schema import METRIC_SINGLE_FLIGHT
-from repro.service.cache import CacheKey, InFlightMap, ResultCache
+from repro.service.cache import CacheKey, ResultCache
+
+# What answering a query produced: its result, or the exception it raised.
+Outcome = Union[PathResult, BaseException]
 
 
 def copy_result(result: PathResult) -> PathResult:
@@ -40,12 +43,12 @@ def copy_result(result: PathResult) -> PathResult:
 
 
 class AnswerPath:
-    """Lookup → single-flight → run → fill over one result cache.
+    """Lookup → replay → run → fill over one result cache.
 
     Args:
         cache: the result cache; ``None`` when the owner has none, in
             which case every key passed in must be ``None`` too.
-        registry: where single-flight replays (and ``hit_metric``) count.
+        registry: where replays (and ``hit_metric``) count.
         hit_metric: an extra counter bumped on every cache answer,
             positive or negative (the router's
             :data:`~repro.obs.schema.METRIC_SHARED_CACHE_HITS`).
@@ -110,15 +113,19 @@ class AnswerPath:
             self.cache.put_negative(key, message)
 
     def answer(self, key: Optional[CacheKey], run: Callable[[], PathResult],
-               *, flight_key: Optional[CacheKey] = None,
-               flights: Optional[InFlightMap] = None,
+               *, replay: Optional[Outcome] = None,
                stats: Optional[BatchStats] = None
                ) -> Tuple[PathResult, bool]:
-        """Answer one query: from the cache, from an identical flight, or
-        by calling ``run()`` and remembering its outcome.
+        """Answer one query: from the cache, from ``replay``, or by
+        calling ``run()`` and remembering its outcome — in that order.
+
+        ``replay`` stands in only where no cache key does: with a key, the
+        cache remembers the first occurrence's outcome, and one it has
+        dropped since (evicted, or an unreachable verdict with no negative
+        cache) runs again, exactly as it would in a serial batch.
 
         Returns ``(result, replayed)``: ``replayed`` is ``True`` when the
-        answer came from the cache or another flight rather than from
+        answer came from the cache or from ``replay`` rather than from
         ``run()`` here.
 
         Args:
@@ -127,49 +134,29 @@ class AnswerPath:
                 answer must never be reused).
             run: produces the answer; a :class:`PathNotFoundError` it
                 raises is remembered as an unreachable verdict.
-            flight_key: the single-flight key — set even when ``key`` is
-                ``None``: with no cache to remember the outcome, the
-                finished flight stays for the rest of ``flights``' batch,
-                so later duplicates replay it instead of running again.
-            flights: the batch's single-flight map (``None``: no dedup).
-            stats: batch counters to bump (hits, negative hits,
-                single-flight replays, and a miss per answer cached).
+            replay: the outcome of an identical query answered before
+                this one (a batch's duplicate member gets its leader's
+                result or exception); with ``key=None`` it is handed back
+                as a copy, or re-raised.
+            stats: batch counters to bump (hits, negative hits, replays,
+                and a miss per answer cached).
         """
         cached = self.lookup(key, stats)
         if cached is not None:
             return cached, True
-        leading = False
-        if flights is not None and flight_key is not None:
-            flight, leading = flights.lease(flight_key)
-            if not leading:
-                self._registry.counter(METRIC_SINGLE_FLIGHT).inc()
-                if stats is not None:
-                    stats.add(single_flight_hits=1)
-                # wait() re-raises the leader's error, if it failed.
-                return copy_result(flight.wait()), True
-            if key is not None:
-                # A previous leader may have filled the cache and vacated
-                # this key between our miss and the lease.  peek() leaves
-                # the counters alone: the lookup above counted a miss.
-                assert self.cache is not None
-                cached = self.cache.peek(key)
-                if cached is not None:
-                    flights.resolve(flight_key, cached)
-                    self._hit(stats, "cache_hits")
-                    return copy_result(cached), True
-        keep = key is None
+        if replay is not None and key is None:
+            self._registry.counter(METRIC_SINGLE_FLIGHT).inc()
+            if stats is not None:
+                stats.add(single_flight_hits=1)
+            if isinstance(replay, BaseException):
+                raise replay
+            return copy_result(replay), True
         try:
             result = run()
-        except BaseException as exc:
-            if isinstance(exc, PathNotFoundError):
-                self.remember_unreachable(key, str(exc))
-            if leading:
-                flights.fail(flight_key, exc, keep=keep)
+        except PathNotFoundError as exc:
+            self.remember_unreachable(key, str(exc))
             raise
-        pristine = self.remember(key, result, stats)
-        if leading:
-            flights.resolve(flight_key, pristine or copy_result(result),
-                            keep=keep)
+        self.remember(key, result, stats)
         return result, False
 
     def _hit(self, stats: Optional[BatchStats], counter: str) -> None:
@@ -179,4 +166,4 @@ class AnswerPath:
             stats.add(**{counter: 1})
 
 
-__all__ = ["AnswerPath", "copy_result"]
+__all__ = ["AnswerPath", "Outcome", "copy_result"]

@@ -18,17 +18,8 @@ into a :class:`~repro.shard.stats.RouterStats`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import (
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TYPE_CHECKING,
-    Union,
-)
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from repro.core.multi import OneToManyResult
 from repro.core.path import PathResult
 from repro.core.sqlstyle import NSQL
 from repro.core.stats import BatchStats
@@ -36,7 +27,7 @@ from repro.errors import InvalidQueryError, ReproError
 from repro.obs import timer
 from repro.obs.schema import METRIC_BATCHES
 from repro.service.executor import Executor
-from repro.service.planner import AUTO_METHOD, KIND_PATH, QueryPlan, QuerySpec
+from repro.service.planner import QueryPlan, QuerySpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.session import BatchQuery, PathService
@@ -139,71 +130,6 @@ def normalize_queries(queries: Sequence["BatchQuery"], graph: str,
     return specs
 
 
-def _run_shared_frontiers(service: "PathService",
-                          specs: Sequence[QuerySpec],
-                          plans: Sequence[QueryPlan],
-                          stats: BatchStats, force: bool,
-                          checkout_timeout: Optional[float]
-                          ) -> Dict[int, OneToManyResult]:
-    """Run one shared DJ frontier per eligible same-source group.
-
-    Eligible members are plain ``path``-kind, uncapped, ``method="auto"``
-    queries (explicit methods keep their per-pair semantics — a shared run
-    always executes DJ, and a different method's equally-shortest path may
-    tie-break differently).  A group shares only when it still has at
-    least two distinct targets the result cache cannot answer, and —
-    unless ``force`` — when the cost model's bias-free structural price of
-    one DJ frontier undercuts the sum of the members' per-pair plans.
-
-    Shared answers are bit-identical to per-pair ``method="DJ"`` runs (see
-    :func:`repro.core.multi.dijkstra_one_to_many`) and count one
-    ``executed`` per group.  Returns input position -> its group's run;
-    the executor records each member's answer (cache fill included)
-    through the per-query path.
-    """
-    groups: Dict[Tuple[str, int, str], List[int]] = {}
-    for index, spec in enumerate(specs):
-        if spec.kind != KIND_PATH or spec.max_iterations is not None:
-            continue
-        if spec.timeout_s is not None:
-            # A budgeted member's deadline is its own; sharing a frontier
-            # would couple its expiry to the whole group's runtime.
-            continue
-        if spec.method.upper() != AUTO_METHOD:
-            continue
-        groups.setdefault((spec.graph, spec.source, spec.sql_style),
-                          []).append(index)
-    shared: Dict[int, OneToManyResult] = {}
-    for (graph, source, style), indices in groups.items():
-        # Members the cache can already answer are left to it.
-        pending = [i for i in indices if not service._cached(plans[i])]
-        if len({specs[i].target for i in pending}) < 2:
-            continue
-        if not force:
-            host = service._host(graph)
-            model = service.cost_model(host.backend)
-            try:
-                shared_cost = model.structural_seconds("DJ", host.statistics)
-                per_pair = sum(
-                    model.structural_seconds(
-                        plans[i].method, host.statistics,
-                        segtable_lthd=host.store.segtable_lthd,
-                        segtable=host.segtable_stats)
-                    for i in pending)
-            except ValueError:
-                continue  # a member's method is unpriced; stay per-pair
-            if shared_cost >= per_pair:
-                continue
-        one = service.one_to_many(
-            source, [specs[i].target for i in pending], graph=graph,
-            sql_style=style, checkout_timeout=checkout_timeout)
-        stats.executed += 1
-        stats.shared_frontier_groups += 1
-        stats.shared_frontier_queries += len(pending)
-        shared.update((i, one) for i in pending)
-    return shared
-
-
 def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
                   graph: str = "default", method: str = "auto",
                   sql_style: str = NSQL,
@@ -211,19 +137,19 @@ def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
                   concurrency: int = 1,
                   checkout_timeout: Optional[float] = None,
                   plans: Optional[Sequence["QueryPlan"]] = None,
-                  share_frontier: Union[bool, str] = False,
                   timeout_s: Optional[float] = None
                   ) -> BatchResult:
     """Answer ``queries`` against ``service`` and aggregate statistics.
 
     Queries are planned up front (so malformed specs fail before any work),
-    then every member runs the service's one per-query path (see
-    :class:`~repro.service.executor.Executor`): ``concurrency=1`` answers
-    them inline in input order; ``concurrency=N`` spreads them over N
-    worker threads, growing each graph's store pool on demand.  Either
-    way a repeated query is answered by the service's shared LRU cache or
-    by the batch's single-flight instead of running again, and
-    ``results[i]`` always answers ``queries[i]``.
+    grouped by query key, and every member runs the service's one
+    per-query path (see :class:`~repro.service.executor.Executor`):
+    ``concurrency=1`` answers the groups inline, in order of their first
+    occurrence; ``concurrency=N`` spreads them over N worker threads,
+    growing each graph's store pool on demand.  Either way a repeated
+    query is answered by the service's shared LRU cache or by replaying
+    its first occurrence instead of running again, and ``results[i]``
+    always answers ``queries[i]``.
 
     Args:
         service: the hosting :class:`PathService`.
@@ -244,12 +170,6 @@ def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
             ``queries[i]``).  The shard router passes the plans from its
             fail-fast validation pass so a scattered slice is not
             planned twice; omit to plan here.
-        share_frontier: one-to-many execution for same-source groups of
-            plain ``path`` queries (see :func:`_run_shared_frontiers`):
-            ``False`` (default) keeps per-pair execution, ``"auto"``
-            shares a group only when the cost model prices one shared DJ
-            frontier below the group's per-pair plans, ``True`` shares
-            every eligible group.
         timeout_s: default per-query time budget applied to every query
             that does not already carry one (``QuerySpec.timeout_s``
             wins).  A budgeted query whose time runs out records its
@@ -265,11 +185,6 @@ def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
     if concurrency < 1:
         raise InvalidQueryError(
             f"batch concurrency must be >= 1, got {concurrency}"
-        )
-    if share_frontier not in (False, True, "auto"):
-        raise InvalidQueryError(
-            f"share_frontier must be False, True, or 'auto', "
-            f"got {share_frontier!r}"
         )
     elapsed = timer()  # .seconds reads live until the final assignment
     specs = normalize_queries(queries, graph=graph, method=method,
@@ -299,13 +214,8 @@ def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
             batch.stats.per_method.get(plan.method, 0) + 1
         )
 
-    shared = (_run_shared_frontiers(service, specs, plans, batch.stats,
-                                    force=share_frontier is True,
-                                    checkout_timeout=checkout_timeout)
-              if share_frontier else None)
     Executor(service, concurrency, checkout_timeout=checkout_timeout).run(
-        plans, batch, raise_on_unreachable=raise_on_unreachable,
-        shared=shared)
+        plans, batch, raise_on_unreachable=raise_on_unreachable)
 
     batch.stats.evictions = (service.cache_info().evictions
                              - evictions_before)

@@ -1,4 +1,4 @@
-"""Shared result cache (positive + negative) and single-flight map.
+"""Shared result cache (positive + negative).
 
 Batch workloads repeat queries heavily (the paper's evaluation itself
 replays random workloads), so :class:`PathService` memoizes finished
@@ -25,13 +25,10 @@ Hit/miss/eviction counters live in a :class:`repro.obs.MetricsRegistry`
 :class:`CacheStats` is a point-in-time *view* over those counters rather
 than parallel bookkeeping.
 
-Both structures here are thread-safe: parallel batch workers share one
-:class:`ResultCache` (every operation runs under an internal lock) and one
-:class:`InFlightMap`, which deduplicates *identical queries that are
-currently executing* — the window the LRU cannot cover.  The first worker
-to ask for a key becomes the flight's leader and executes; every later
-worker blocks on the flight and receives the leader's result (or exception)
-without touching a store.
+The cache is thread-safe: parallel batch workers share one
+:class:`ResultCache`, and every operation runs under an internal lock.
+Identical members of one batch never race for a key: the batch executor
+groups them before anything runs (see :mod:`repro.service.executor`).
 """
 
 from __future__ import annotations
@@ -227,9 +224,8 @@ class ResultCache:
 
     def peek(self, key: CacheKey) -> Optional[PathResult]:
         """Like :meth:`get` (including the recency refresh and TTL check)
-        but without touching the hit/miss counters — for re-checks of a key
-        whose lookup was already counted once, so parallel batches report
-        the same hit rate as serial ones."""
+        but without touching the hit/miss counters — for looking at the
+        cache without skewing the hit rate it reports."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -371,73 +367,4 @@ class ResultCache:
             self._evict_ttl.inc()
 
 
-class Flight:
-    """One in-flight query: an event the leader resolves with a result or
-    an exception, and any number of followers wait on."""
-
-    __slots__ = ("_event", "result", "error")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self.result: Optional[PathResult] = None
-        self.error: Optional[BaseException] = None
-
-    def wait(self, timeout: Optional[float] = None) -> Optional[PathResult]:
-        """Block until the leader resolves the flight; re-raise its
-        exception, or return its result."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("in-flight query did not resolve in time")
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-    def _finish(self, result: Optional[PathResult],
-                error: Optional[BaseException]) -> None:
-        self.result = result
-        self.error = error
-        self._event.set()
-
-
-class InFlightMap:
-    """Single-flight registry of queries currently executing.
-
-    :meth:`lease` either registers the caller as the leader of a new flight
-    (it must later call :meth:`resolve` or :meth:`fail` — use
-    ``try/finally``) or hands back an existing flight to wait on.  A
-    finished flight is vacated, so the next lease of its key leads anew —
-    unless the leader finishes it with ``keep=True``: then every later
-    lease joins the finished flight and replays its outcome (how a batch
-    answers duplicates when no result cache will remember the answer).
-    """
-
-    def __init__(self) -> None:
-        self._flights: Dict[CacheKey, Flight] = {}
-        self._lock = threading.Lock()
-
-    def lease(self, key: CacheKey) -> Tuple[Flight, bool]:
-        """Return ``(flight, is_leader)`` for ``key``."""
-        with self._lock:
-            flight = self._flights.get(key)
-            if flight is not None:
-                return flight, False
-            flight = Flight()
-            self._flights[key] = flight
-            return flight, True
-
-    def resolve(self, key: CacheKey, result: PathResult,
-                keep: bool = False) -> None:
-        """Leader-only: publish ``result`` and wake every follower."""
-        self._finished(key, keep)._finish(result, None)
-
-    def fail(self, key: CacheKey, error: BaseException,
-             keep: bool = False) -> None:
-        """Leader-only: publish ``error`` and wake every follower."""
-        self._finished(key, keep)._finish(None, error)
-
-    def _finished(self, key: CacheKey, keep: bool) -> Flight:
-        with self._lock:
-            return self._flights[key] if keep else self._flights.pop(key)
-
-
-__all__ = ["CacheKey", "CacheStats", "Flight", "InFlightMap", "ResultCache",
-           "estimate_result_bytes"]
+__all__ = ["CacheKey", "CacheStats", "ResultCache", "estimate_result_bytes"]

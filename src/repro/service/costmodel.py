@@ -462,29 +462,6 @@ class CostModel:
                             statements=statements,
                             rows=int(shape.rows), eligible=eligible)
 
-    def structural_seconds(self, method: str, stats: GraphStatistics,
-                           segtable_lthd: Optional[float] = None,
-                           segtable: Optional[SegTableBuildStats] = None,
-                           max_hops: Optional[int] = None) -> float:
-        """Bias-free price of one method: the structural shape times the
-        profile's unit costs, with neither the global nor the per-method
-        feedback bias applied.
-
-        Runtime feedback mutates the biases continuously, so any decision
-        that must be reproducible run-to-run — the batch layer's
-        shared-frontier grouping, most notably — compares structural
-        prices instead of :meth:`estimate` output.
-        """
-        shape = _shape(method, stats, segtable_lthd, segtable,
-                       max_hops=max_hops)
-        profile = self.profile
-        row_cost = profile.seg_row_cost if shape.seg_rows else profile.row_cost
-        statements = shape.fixed_statements + shape.scan_statements
-        return (statements * shape.statement_weight * profile.statement_cost
-                + shape.scan_statements * (shape.visited / 2.0)
-                * profile.scan_row_cost
-                + shape.rows * row_cost)
-
     def breakdown(self, stats: GraphStatistics, has_segtable: bool,
                   segtable_lthd: Optional[float] = None,
                   segtable: Optional[SegTableBuildStats] = None

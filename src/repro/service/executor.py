@@ -8,21 +8,24 @@ one planned batch by handing each member to the service's per-query path
 (:meth:`PathService._answer <repro.service.session.PathService>` — the
 same code a single ``shortest_path`` call runs):
 
-* **one path, two fan-outs** — ``concurrency=1`` answers the members
-  inline, in input order, with no thread pool; ``concurrency=N`` hands
-  them to N worker threads.  Nothing else differs;
+* **one path, two fan-outs** — ``concurrency=1`` answers the groups
+  inline, in order of their first position, with no thread pool;
+  ``concurrency=N`` hands each group to one of N worker threads.  Nothing
+  else differs;
 * **order preservation** — each member's answer lands in its own
   ``results[index]`` slot, so the output order is the input order no
   matter how execution interleaves;
 * **per-query pool checkout** — a member borrows a store only for the
   duration of its run, so a 64-query batch over a 4-member pool keeps all
   4 members saturated;
-* **single-flight dedup** — identical members share one batch-wide
-  :class:`~repro.service.cache.InFlightMap`: the first executes, the rest
-  receive its answer without touching a store — while it is in flight
-  and, when the result cache is off, afterwards too.  Flight keys carry
-  the hosting shard's identity (``shard_id``), so they can never collide
-  across the shards of a :class:`repro.shard.ShardRouter`;
+* **duplicates settled up front** — before anything runs, members are
+  grouped by their query key (the result-cache key, which carries the
+  hosting shard's identity); a member with no key (a capped or budgeted
+  run) is a group of its own.  A group runs in one worker: its lowest
+  input position leads and executes, and every duplicate then answers
+  from the cache or replays the leader's outcome.  Which member leads
+  never depends on timing, so a serial and a parallel batch give the same
+  answers and the same counters;
 * **timings** — waiting-for-a-store seconds and executing seconds are
   summed into the batch's :class:`~repro.core.stats.BatchStats`
   (``queue_time`` / ``execute_time``), alongside wall-clock
@@ -32,14 +35,13 @@ same code a single ``shortest_path`` call runs):
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Dict, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Hashable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import DeadlineExceededError, PathNotFoundError
-from repro.service.cache import InFlightMap
+from repro.service.answer import Outcome
 from repro.service.planner import QueryPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.multi import OneToManyResult
     from repro.service.batch import BatchResult
     from repro.service.session import PathService
 
@@ -64,78 +66,92 @@ class Executor:
         self._service = service
         self._concurrency = concurrency
         self._checkout_timeout = checkout_timeout
-        self._flights = InFlightMap()
         self._errors: Dict[int, BaseException] = {}
 
     def run(self, plans: Sequence[QueryPlan], batch: "BatchResult",
-            raise_on_unreachable: bool = False,
-            shared: Optional[Mapping[int, "OneToManyResult"]] = None) -> None:
+            raise_on_unreachable: bool = False) -> None:
         """Answer ``plans`` and fill ``batch`` in place (results,
         ``from_cache`` flags, errors and stats counters).
 
         The first failure *by input position* is re-raised once the batch
-        is done.  Inline, the batch stops as soon as that failure is
-        decided (every remaining position comes after it); worker threads
-        all finish first.
-
-        Args:
-            shared: input position -> the batch's shared-frontier run
-                that already answered it (see
-                :func:`repro.service.batch.execute_batch`).  Those members
-                are recorded first, inline; they execute nothing.
+        is done.  Inline, the batch stops before the first group that
+        starts after that failure; worker threads all finish first.
         """
         self._raise_on_unreachable = raise_on_unreachable
-        shared = shared or {}
-        for index in sorted(shared):
-            self._run_one(index, plans[index], batch, shared[index])
-        indices = [i for i in range(len(plans)) if i not in shared]
-        workers = min(self._concurrency, len(indices))
+        groups = self._groups(plans)
+        workers = min(self._concurrency, len(groups))
         if workers > 1:
             service = self._service
-            for name in {plans[i].spec.graph for i in indices}:
+            for name in {plan.spec.graph for plan in plans}:
                 service._host(name).pool.resize(self._concurrency)
             batch.stats.concurrency = workers
             with ThreadPoolExecutor(
                     max_workers=workers,
                     thread_name_prefix="repro-batch") as threads:
-                futures = [threads.submit(self._run_one, index,
-                                          plans[index], batch)
-                           for index in indices]
+                futures = [threads.submit(self._run_group, group, plans,
+                                          batch)
+                           for group in groups]
                 wait(futures)
             for future in futures:
                 # Worker bodies catch everything into self._errors; a raise
                 # here would be a bug in the executor itself — surface it.
                 future.result()
         else:
-            for index in indices:
-                if self._errors and min(self._errors) < index:
+            for group in groups:
+                if self._errors and min(self._errors) < group[0]:
                     break
-                self._run_one(index, plans[index], batch)
+                self._run_group(group, plans, batch)
         if self._errors:
             raise self._errors[min(self._errors)]
 
+    def _groups(self, plans: Sequence[QueryPlan]) -> List[List[int]]:
+        """Input positions grouped by query key, each group ascending and
+        the groups in order of their first position; a keyless member
+        (its answer must never be reused) is a group of its own."""
+        groups: Dict[Hashable, List[int]] = {}
+        for index, plan in enumerate(plans):
+            key = self._service._query_key(plan)
+            groups.setdefault(index if key is None else key,
+                              []).append(index)
+        return list(groups.values())
+
+    def _run_group(self, indices: List[int], plans: Sequence[QueryPlan],
+                   batch: "BatchResult") -> None:
+        """Answer one group: the first member leads, the rest replay its
+        outcome (unless the cache answers them first)."""
+        first, *duplicates = indices
+        leader = self._run_one(first, plans[first], batch)
+        if first in self._errors:
+            return  # the batch raises at ``first`` or before it
+        for index in duplicates:
+            self._run_one(index, plans[index], batch, replay=leader)
+
     def _run_one(self, index: int, plan: QueryPlan, batch: "BatchResult",
-                 shared: Optional["OneToManyResult"] = None) -> None:
-        """Answer one member into its slot; never raises (failures are
-        counted, placed positionally, or kept for :meth:`run`)."""
+                 replay: Optional[Outcome] = None) -> Outcome:
+        """Answer one member into its slot and return its outcome; never
+        raises (failures are counted, placed positionally, or kept for
+        :meth:`run`)."""
         try:
             result, replayed = self._service._answer(
-                plan, stats=batch.stats, flights=self._flights,
-                shared=shared, checkout_timeout=self._checkout_timeout)
+                plan, stats=batch.stats, replay=replay,
+                checkout_timeout=self._checkout_timeout)
         except PathNotFoundError as exc:
             batch.stats.add(not_found=1)
             if self._raise_on_unreachable:
                 self._errors[index] = exc
+            return exc
         except DeadlineExceededError as exc:
             # The expired query reports at its own position; its siblings
             # finish normally.
             batch.stats.add(deadline_exceeded=1)
             batch.errors[index] = exc
+            return exc
         except BaseException as exc:  # surfaced once the batch is done
             self._errors[index] = exc
-        else:
-            batch.results[index] = result
-            batch.from_cache[index] = replayed
+            return exc
+        batch.results[index] = result
+        batch.from_cache[index] = replayed
+        return result
 
 
 __all__ = ["Executor"]

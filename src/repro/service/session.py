@@ -100,8 +100,8 @@ from repro.obs.schema import (
     METRIC_QUERY_LATENCY,
     METRIC_QUERY_QUEUE,
 )
-from repro.service.answer import AnswerPath
-from repro.service.cache import CacheStats, InFlightMap, ResultCache
+from repro.service.answer import AnswerPath, Outcome
+from repro.service.cache import CacheStats, ResultCache
 from repro.service.costmodel import CostModel, CostProfile
 from repro.service.pool import PoolStats, StorePool
 from repro.service.planner import (
@@ -236,8 +236,8 @@ class PathService:
             from it.
         shard_id: optional identity of the shard this service embodies
             (set by :class:`repro.shard.ShardRouter`).  It is appended to
-            every result-cache and single-flight key, so cached entries —
-            and in-flight executions — can never cross-talk between shards
+            every result-cache key, so cached entries — and a batch's
+            duplicate grouping — can never cross-talk between shards
             that host same-named graphs, even if their caches are merged
             or compared externally.  ``None`` (the default) keeps the
             unsharded key shape.
@@ -1010,23 +1010,16 @@ class PathService:
                            raise_on_unreachable: bool = False,
                            concurrency: int = 1,
                            checkout_timeout: Optional[float] = None,
-                           share_frontier: Union[bool, str] = False,
                            timeout_s: Optional[float] = None):
         """Answer a batch of queries; see
         :func:`repro.service.batch.execute_batch` for the full contract.
 
         ``concurrency=1`` (the default) answers the queries one after
-        another in input order; ``concurrency=N`` runs the same per-query
-        path across N worker threads, growing each touched graph's store
+        another; ``concurrency=N`` runs the same per-query path across N
+        worker threads, growing each touched graph's store
         pool on demand (capability permitting).  Either way identical
-        queries execute once, and results are in input order.
-
-        ``share_frontier`` turns on one-to-many execution for same-source
-        groups of plain ``path`` queries: ``"auto"`` shares a group only
-        when the cost model prices one shared DJ frontier below the
-        group's per-pair plans, ``True`` shares every eligible group, and
-        ``False`` (the default) keeps per-pair execution.  Shared groups
-        return bit-identical results to per-pair runs.
+        queries execute once — the lowest input position leads — and
+        results are in input order.
 
         ``timeout_s`` sets a default per-query time budget for queries
         that do not already carry one (``QuerySpec.timeout_s`` wins).  A
@@ -1041,7 +1034,6 @@ class PathService:
                              raise_on_unreachable=raise_on_unreachable,
                              concurrency=concurrency,
                              checkout_timeout=checkout_timeout,
-                             share_frontier=share_frontier,
                              timeout_s=timeout_s)
 
     # -- cache -------------------------------------------------------------------
@@ -1115,13 +1107,13 @@ class PathService:
                 )
 
     def _query_key(self, plan: QueryPlan) -> Optional[Tuple[Hashable, ...]]:
-        """Result-cache and single-flight key of a planned query, or
+        """Result-cache and duplicate-grouping key of a planned query, or
         ``None`` when its answer must never be reused: capped runs may
         return partial work, budgeted runs may be cut short.
 
         The graph name stays first — :meth:`ResultCache.invalidate_graph`
         matches on it — and the hosting shard's identity is appended last,
-        making every cached result and in-flight lease shard-aware (see
+        making every cached result and batch group shard-aware (see
         the ``shard_id`` constructor argument).
         """
         spec = plan.spec
@@ -1130,32 +1122,23 @@ class PathService:
         return (spec.graph, spec.source, spec.target, plan.method,
                 spec.sql_style, spec.kind, spec.max_hops, self.shard_id)
 
-    def _cached(self, plan: QueryPlan) -> bool:
-        """Whether the result cache already holds ``plan``'s answer (an
-        uncounted peek: the lookup proper happens in :meth:`_answer`)."""
-        key = self._query_key(plan)
-        return key is not None and self._cache.peek(key) is not None
-
     def _answer(self, plan: QueryPlan, *, use_cache: bool = True,
                 stats: Optional[BatchStats] = None,
-                flights: Optional[InFlightMap] = None,
-                shared: Optional[OneToManyResult] = None,
+                replay: Optional[Outcome] = None,
                 checkout_timeout: Optional[float] = None,
                 plan_seconds: Optional[float] = None
                 ) -> Tuple[PathResult, bool]:
         """Answer one planned query — the only code that does, for single
         queries, ``explain(analyze=True)`` and every batch member alike —
         through the service's :class:`~repro.service.answer.AnswerPath`
-        (cache lookup → single-flight → run → cache fill), with "run"
-        meaning :meth:`_run_timed` on a pooled store.
+        (cache lookup → replay → run → cache fill), with "run" meaning
+        :meth:`_run_timed` on a pooled store.
 
         Returns ``(result, replayed)``: ``replayed`` is ``True`` when the
         answer came from the result cache or an identical batch member
-        rather than from an execution here.  ``stats``, ``flights`` and
-        ``shared`` come from a batch (see
-        :class:`~repro.service.executor.Executor`): the counters to bump,
-        the batch's single-flight, and a shared-frontier run that already
-        answered this query's target.
+        rather than from an execution here.  ``stats`` and ``replay``
+        come from a batch (see :class:`~repro.service.executor.Executor`):
+        the counters to bump, and a duplicate member's leader outcome.
 
         Opens a ``query`` trace span: the root of a fresh trace when no
         span is ambient (a direct ``shortest_path`` call, a batch
@@ -1163,18 +1146,11 @@ class PathService:
         ``explain(analyze=True)`` — already traces this query.  Whoever
         owns the root attaches the finished tree to ``result.trace``."""
         spec = plan.spec
-        query_key = self._query_key(plan)
         # A disabled cache gets no key, so it reports no phantom misses.
-        key = query_key if use_cache and self._cache.capacity else None
+        key = (self._query_key(plan) if use_cache and self._cache.capacity
+               else None)
 
         def run() -> PathResult:
-            if shared is not None:
-                # A shared run already counted its one execution.
-                found = shared[spec.target]
-                if found is None:
-                    raise PathNotFoundError(f"no path from {spec.source} "
-                                            f"to {spec.target}")
-                return found
             try:
                 result, queued, ran = self._run_timed(plan, checkout_timeout)
             except BaseException as exc:
@@ -1200,7 +1176,7 @@ class PathService:
             if plan_seconds is not None:
                 query_span.record("plan", plan_seconds, method=plan.method)
             result, replayed = self._answers.answer(
-                key, run, flight_key=query_key, flights=flights, stats=stats)
+                key, run, replay=replay, stats=stats)
             if query_span.trace is not None:
                 result.trace = query_span.trace
         return result, replayed

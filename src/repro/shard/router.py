@@ -65,7 +65,6 @@ from typing import (
     Tuple,
     TYPE_CHECKING,
     TypeVar,
-    Union,
 )
 
 from repro.core.deadline import (
@@ -197,8 +196,8 @@ class ScatterResult:
         specs: the normalized query specs, in input order.
         results: one entry per spec (``None`` marks an unreachable pair).
         from_cache: per spec, whether the answer came from a cache — the
-            owning shard's result cache (single-flight piggybacks
-            included) or the router's shared cross-shard cache.
+            owning shard's result cache (replayed duplicates included)
+            or the router's shared cross-shard cache.
         shard_of: per spec, the shard that answered it (the owner, or the
             replica that took over on failover).
         errors: per spec, the typed per-query failure (a budgeted query's
@@ -763,7 +762,6 @@ class ShardRouter:
                            raise_on_unreachable: bool = False,
                            concurrency: int = 1,
                            checkout_timeout: Optional[float] = None,
-                           share_frontier: Union[bool, str] = False,
                            timeout_s: Optional[float] = None
                            ) -> ScatterResult:
         """Scatter a mixed-graph batch across shards and gather in order.
@@ -794,11 +792,6 @@ class ShardRouter:
                 executes its slice serially).
             checkout_timeout: per-query bound on waiting for a pooled
                 store connection inside each shard.
-            share_frontier: forwarded to each slice's
-                :func:`~repro.service.batch.execute_batch` — same-source
-                groups of plain ``path`` queries may then run as one
-                shared DJ frontier on their shard (``"auto"`` =
-                cost-gated, ``True`` = always, ``False`` = never).
             timeout_s: default per-query time budget applied to every
                 query that does not already carry its own
                 (``QuerySpec.timeout_s`` wins).  A query whose budget
@@ -882,8 +875,7 @@ class ShardRouter:
                         [specs[i] for i in indices],
                         concurrency=concurrency,
                         checkout_timeout=checkout_timeout,
-                        plans=[plans[i] for i in indices],
-                        share_frontier=share_frontier)
+                        plans=[plans[i] for i in indices])
                 except BaseException as exc:
                     root.record("router.slice", took.seconds, shard=shard,
                                 queries=len(indices),

@@ -158,23 +158,20 @@ class ShardTransport(ABC):
     def execute_specs(self, specs: Sequence["QuerySpec"], *,
                       concurrency: int = 1,
                       checkout_timeout: Optional[float] = None,
-                      plans: Optional[Sequence["QueryPlan"]] = None,
-                      share_frontier: object = False
+                      plans: Optional[Sequence["QueryPlan"]] = None
                       ) -> "BatchResult":
         """Execute one scatter slice on this shard.
 
         ``plans`` replays the validation pass's plans so an in-process
         slice is not planned twice; transports that cannot ship plans
         (remote) ignore it and re-plan server-side — planning is
-        deterministic, so the results are identical.  ``share_frontier``
-        is forwarded to :func:`~repro.service.batch.execute_batch`.
+        deterministic, so the results are identical.
         """
         from repro.service.batch import execute_batch
         return execute_batch(
             self.service, list(specs), raise_on_unreachable=False,
             concurrency=concurrency, checkout_timeout=checkout_timeout,
-            plans=None if plans is None else list(plans),
-            share_frontier=share_frontier)  # type: ignore[arg-type]
+            plans=None if plans is None else list(plans))
 
     def calibrate(self, backend: Optional[str] = None, *,
                   persist: bool = True,

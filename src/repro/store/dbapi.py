@@ -902,7 +902,11 @@ class DBAPIGraphStore(GraphStore):
     def _expand_tsql(self, direction: Direction,
                      shape: Tuple[Hashable, ...],
                      parameters: List[object]) -> int:
-        """GROUP BY dedup into a temp table, then UPDATE + INSERT."""
+        """GROUP BY dedup into a temp table, then UPDATE + INSERT.
+
+        The candidates are indexed on ``nid`` and drive the UPDATE, so M
+        probes ``tvisited`` and the candidates by key instead of scanning
+        either one per row."""
         def build() -> Tuple[str, str, str]:
             candidate_sql = self._candidate_sql_text(direction, *shape[1:])
             dist, pred, flag = (direction.dist_col, direction.pred_col,
@@ -929,9 +933,10 @@ class DBAPIGraphStore(GraphStore):
                     {pred} = (SELECT pred FROM tmp_expanded t
                               WHERE t.nid = tvisited.nid),
                     {flag} = 0
-                WHERE EXISTS (SELECT 1 FROM tmp_expanded t
-                              WHERE t.nid = tvisited.nid
-                                AND t.cost < tvisited.{dist})
+                WHERE nid IN (
+                    SELECT t.nid FROM tmp_expanded t
+                    WHERE t.cost < (SELECT v.{dist} FROM tvisited v
+                                    WHERE v.nid = t.nid))
             """
             insert = f"""
                 INSERT INTO tvisited (nid, {dist}, {pred}, {flag},
@@ -948,6 +953,8 @@ class DBAPIGraphStore(GraphStore):
         with self.stats.operator(OPERATOR_E):
             self._execute_unlogged("DROP TABLE IF EXISTS tmp_expanded")
             self._execute(create, parameters + parameters)
+            self._execute_unlogged(
+                "CREATE INDEX ix_tmp_expanded_nid ON tmp_expanded (nid)")
         with self.stats.operator(OPERATOR_M):
             updated = max(0, self._execute(update).rowcount)
             inserted = max(0, self._execute(insert, (_INF,)).rowcount)
@@ -1092,6 +1099,8 @@ class DBAPIGraphStore(GraphStore):
             """,
             (lthd, lthd),
         )
+        self._execute_unlogged(
+            "CREATE INDEX ix_tmp_segcand_pair ON tmp_segcand (fid, tid)")
         matched = ("FROM tmp_segcand t "
                    "WHERE t.fid = tsegwork.fid AND t.tid = tsegwork.tid")
         updated = max(0, self._execute(

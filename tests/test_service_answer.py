@@ -1,11 +1,9 @@
-"""The answer path on its own: cache lookup, single-flight, run, fill.
+"""The answer path on its own: cache lookup, replay, run, fill.
 
 ``PathService`` and ``ShardRouter`` both answer through
 :class:`repro.service.answer.AnswerPath`; these tests pin its contract
 without a store underneath — ``run`` is a plain callable.
 """
-
-import threading
 
 import pytest
 
@@ -15,7 +13,7 @@ from repro.errors import PathNotFoundError
 from repro.obs import MetricsRegistry
 from repro.obs.schema import METRIC_SINGLE_FLIGHT
 from repro.service.answer import AnswerPath, copy_result
-from repro.service.cache import InFlightMap, ResultCache
+from repro.service.cache import ResultCache
 
 
 def _result(distance=3.0, path=(0, 1, 2)):
@@ -104,53 +102,49 @@ class TestCacheFill:
 
 
 class TestSingleFlight:
+    """A batch's duplicate member replays its leader's outcome: the cache
+    answers first, and only on a miss does ``replay`` stand in for
+    ``run``."""
+
     def test_follower_replays_the_leader(self):
         answers, registry = _path()
-        flights = InFlightMap()
-        started, release = threading.Event(), threading.Event()
-
-        def slow():
-            started.set()
-            release.wait(5)
-            return _result()
-
-        out = {}
-        leader = threading.Thread(target=lambda: out.setdefault(
-            "leader", answers.answer(None, slow, flight_key="f",
-                                     flights=flights)))
-        leader.start()
-        started.wait(5)
-        follower = threading.Thread(target=lambda: out.setdefault(
-            "follower", answers.answer(None, _Runs((9.0, (0, 9))),
-                                       flight_key="f", flights=flights)))
-        follower.start()
-        release.set()
-        leader.join(5)
-        follower.join(5)
-        (lead, lead_replayed), (follow, follow_replayed) = (
-            out["leader"], out["follower"])
+        lead, lead_replayed = answers.answer(None, _Runs((3.0, (0, 1, 2))))
+        follower_run = _Runs((9.0, (0, 9)))
+        follow, follow_replayed = answers.answer(None, follower_run,
+                                                 replay=lead)
         assert not lead_replayed and follow_replayed
         assert follow.path == lead.path and follow is not lead
+        assert follower_run.calls == 0
         assert registry.total(METRIC_SINGLE_FLIGHT) == 1
 
     def test_without_a_cache_the_finished_flight_stays(self):
         answers, _ = _path()
-        flights = InFlightMap()
         run = _Runs((2.0, (0, 2)))
         stats = BatchStats()
-        for _ in range(3):
-            answers.answer(None, run, flight_key="f", flights=flights,
-                           stats=stats)
+        lead, _ = answers.answer(None, run, stats=stats)
+        for _ in range(2):
+            answers.answer(None, run, replay=lead, stats=stats)
         assert run.calls == 1 and stats.single_flight_hits == 2
 
     def test_a_failed_leader_fails_its_followers(self):
         answers, _ = _path()
-        flights = InFlightMap()
         run = _Runs(PathNotFoundError("no path"))
-        for _ in range(2):
-            with pytest.raises(PathNotFoundError):
-                answers.answer(None, run, flight_key="f", flights=flights)
+        with pytest.raises(PathNotFoundError) as leader:
+            answers.answer(None, run)
+        with pytest.raises(PathNotFoundError) as follower:
+            answers.answer(None, run, replay=leader.value)
+        assert follower.value is leader.value
         assert run.calls == 1
+
+    def test_the_cache_answers_before_the_replay(self):
+        answers, registry = _path()
+        stats = BatchStats()
+        lead, _ = answers.answer("k", _Runs((3.0, (0, 1, 2))), stats=stats)
+        _, replayed = answers.answer("k", _Runs((9.0, (0, 9))),
+                                     replay=lead, stats=stats)
+        assert replayed
+        assert (stats.cache_hits, stats.single_flight_hits) == (1, 0)
+        assert registry.total(METRIC_SINGLE_FLIGHT) == 0
 
 
 def test_copy_result_drops_the_trace():

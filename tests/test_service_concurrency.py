@@ -1,5 +1,5 @@
-"""Tests for parallel batch execution: serial-equality stress, single-flight
-dedup, capability clamping through the service, error paths, and the
+"""Tests for parallel batch execution: serial-equality stress, duplicate
+replay, capability clamping through the service, error paths, and the
 thread-safety of the shared result cache."""
 
 import random
@@ -14,7 +14,7 @@ from repro.core.store.registry import register_backend, unregister_backend
 from repro.errors import InvalidQueryError, PathNotFoundError
 from repro.graph.generators import path_graph, random_graph
 from repro.service import PathService
-from repro.service.cache import InFlightMap, ResultCache
+from repro.service.cache import ResultCache
 
 
 def _random_queries(graph, count, seed):
@@ -185,8 +185,7 @@ class TestSingleFlightAndStats:
             service.add_graph("g", graph)
             service.shortest_path_many(queries, graph="g", concurrency=4)
             info = service.cache_info()
-            # One counted lookup per query, exactly like a serial batch
-            # (the executor's double-check peeks without counting).
+            # One counted lookup per query, exactly like a serial batch.
             assert info.misses == 4
             assert info.hits == 0
 
@@ -278,26 +277,27 @@ class TestThreadSafeCache:
         assert stats.hits + stats.misses == 8 * 500
 
     def test_single_flight_followers_get_leader_result(self):
-        inflight = InFlightMap()
-        flight, leader = inflight.lease(("k",))
-        assert leader
-        same_flight, follower_leads = inflight.lease(("k",))
-        assert same_flight is flight
-        assert not follower_leads
-        results = []
-        waiter = threading.Thread(
-            target=lambda: results.append(flight.wait(timeout=5.0)))
-        waiter.start()
-        inflight.resolve(("k",), "answer")
-        waiter.join(timeout=5.0)
-        assert results == ["answer"]
-        # The key is free again: the next lease starts a new flight.
-        _, leads_again = inflight.lease(("k",))
-        assert leads_again
+        # No cache remembers the answer: the duplicate replays its
+        # leader's outcome, whichever worker thread runs the group.
+        graph = path_graph(12, weight_range=(1, 1))
+        with PathService(cache_size=0) as service:
+            service.add_graph("g", graph)
+            batch = service.shortest_path_many([(0, 11), (2, 9), (0, 11)],
+                                               graph="g", concurrency=4)
+        assert batch.from_cache == [False, False, True]
+        assert batch.stats.executed == 2
+        assert batch.stats.single_flight_hits == 1
+        assert batch.results[2].path == batch.results[0].path
+        assert batch.results[2] is not batch.results[0]
 
     def test_single_flight_failure_propagates(self):
-        inflight = InFlightMap()
-        flight, _ = inflight.lease(("k",))
-        inflight.fail(("k",), PathNotFoundError("no path"))
-        with pytest.raises(PathNotFoundError):
-            flight.wait(timeout=1.0)
+        graph = path_graph(5, weight_range=(1, 1))
+        graph.add_node(99)
+        with PathService(cache_size=0) as service:
+            service.add_graph("g", graph)
+            batch = service.shortest_path_many([(0, 99), (1, 3), (0, 99)],
+                                               graph="g", concurrency=4)
+        assert batch.results[0] is None and batch.results[2] is None
+        assert batch.stats.executed == 2
+        assert batch.stats.not_found == 2
+        assert batch.stats.single_flight_hits == 1

@@ -1,16 +1,11 @@
 """Tests for the richer query-kind surface: planner validation of
-``bounded_hop`` / ``reachability``, the one-to-many shared-frontier
-Dijkstra, and ``share_frontier`` batch grouping — locally and over the
-serve wire protocol."""
+``bounded_hop`` / ``reachability`` and the one-to-many shared-frontier
+Dijkstra — locally and over the serve wire protocol."""
 
 import pytest
 
 from repro.core.multi import METHOD_HOPS, METHOD_REACH, dijkstra_one_to_many
-from repro.errors import (
-    InvalidQueryError,
-    NodeNotFoundError,
-    PathNotFoundError,
-)
+from repro.errors import InvalidQueryError, NodeNotFoundError
 from repro.graph.generators import power_law_graph
 from repro.serve import ShardClient, ShardServer
 from repro.service import PathService
@@ -107,46 +102,8 @@ class TestOneToMany:
         assert fanout[0].path == [0]
 
 
-class TestShareFrontier:
-    def test_validates_flag(self, service):
-        with pytest.raises(InvalidQueryError, match="share_frontier"):
-            service.shortest_path_many([(0, 5)], share_frontier="always")
-
-    def test_forced_sharing_matches_per_pair_batch(self, service):
-        queries = [(0, 5), (0, 40), (0, 99), (3, 8)]
-        baseline = service.shortest_path_many(queries)
-        service.clear_cache()
-        shared = service.shortest_path_many(queries, share_frontier=True)
-        assert [_shape(r) for r in shared.results] \
-            == [_shape(r) for r in baseline.results]
-        # The three same-source queries collapsed into one frontier.
-        assert shared.stats.shared_frontier_groups == 1
-        assert shared.stats.shared_frontier_queries == 3
-        assert shared.stats.executed <= baseline.stats.executed - 2
-
-    def test_single_target_groups_are_not_shared(self, service):
-        batch = service.shortest_path_many([(0, 5), (3, 8)],
-                                           share_frontier=True)
-        assert batch.stats.shared_frontier_groups == 0
-
-    def test_explicit_methods_opt_out(self, service):
-        batch = service.shortest_path_many(
-            [(0, 5), (0, 40), (0, 99)], method="BDJ", share_frontier=True)
-        assert batch.stats.shared_frontier_groups == 0
-
-    def test_shared_unreachable_raises_at_input_position(self, tmp_path):
-        graph = power_law_graph(40, edges_per_node=2, seed=3)
-        graph.add_node(999)  # isolated
-        with PathService() as service:
-            service.add_graph("default", graph)
-            with pytest.raises(PathNotFoundError, match="999"):
-                service.shortest_path_many(
-                    [(0, 5), (0, 999), (0, 7)], share_frontier=True,
-                    raise_on_unreachable=True)
-
-
 class TestKindsOverTheWire:
-    def test_remote_kinds_and_share_frontier(self, small_power_graph):
+    def test_remote_kinds(self, small_power_graph):
         service = PathService()
         service.add_graph("default", small_power_graph)
         local_reach = _shape(service.shortest_path(
@@ -166,18 +123,5 @@ class TestKindsOverTheWire:
             assert bounded.distance == local_reach[0]
             specs = [QuerySpec(source=0, target=t, graph="default")
                      for t in (5, 40, 99)]
-            results, _, stats, _ = client.execute(specs, share_frontier=True)
-            assert stats.shared_frontier_groups == 1
+            results, _, _, _ = client.execute(specs)
             assert all(r is not None for r in results)
-
-    def test_malformed_share_frontier_rejected_on_the_wire(
-            self, small_power_graph):
-        from repro.errors import RemoteProtocolError
-        service = PathService()
-        service.add_graph("default", small_power_graph)
-        with ShardServer(service, port=0, own_service=True) as server:
-            client = ShardClient(server.url)
-            with pytest.raises(RemoteProtocolError, match="share_frontier"):
-                client.execute(
-                    [QuerySpec(source=0, target=5, graph="default")],
-                    share_frontier="sometimes")

@@ -5,7 +5,8 @@ the outside: DSN parsing, the stdlib wire protocol (hello, admission
 control, the CLI entry point), typed error mapping, connection-cap
 arithmetic, clone privacy of the server-side ``TEMP`` table, durable
 SegTable metadata, database relocation into a plain SQLite file, and
-SQLite's plan for every statement that joins an edge or segment relation.
+SQLite's plan for every statement that joins an edge or segment relation
+or merges tsql candidates.
 """
 
 from __future__ import annotations
@@ -428,3 +429,75 @@ class TestConstructionPlans:
                  and step.split()[1] in self.aliases(sql)}
         assert not scans, (f"{len(scans)} construction statement shape(s) "
                            f"scan the working segments: {scans}")
+
+
+class TestMergePlans:
+    """The tsql M statements merge candidates by key: the UPDATE and
+    INSERT that fold ``tmp_expanded`` into ``tvisited`` (and
+    ``tmp_segcand`` into the working segments) are driven by the
+    candidates, so neither ``tvisited`` nor a correlated subquery is
+    scanned once per row.
+
+    Every such statement is planned as it runs, with its real parameters.
+    A top-level ``SCAN`` of the candidate table is the driving loop and is
+    allowed; a ``SCAN`` under a correlated subquery is not.
+    """
+
+    CANDIDATES = re.compile(r"\btmp_(?:expanded|segcand)\b")
+
+    @staticmethod
+    def correlated_scans(steps):
+        parents = {step_id: (parent, detail)
+                   for step_id, parent, _, detail in steps}
+
+        def correlated(parent):
+            while parent in parents:
+                parent, detail = parents[parent]
+                if detail.startswith("CORRELATED"):
+                    return True
+            return False
+
+        return [detail for _, parent, _, detail in steps
+                if detail.startswith("SCAN") and correlated(parent)]
+
+    def test_no_tsql_merge_statement_scans_per_row(self, monkeypatch):
+        planned = []
+        run = DBAPIGraphStore._run
+
+        def explain_then_run(store, sql, parameters=(), many=False):
+            if (not many and self.CANDIDATES.search(sql)
+                    and re.match(r"\s*(UPDATE|INSERT)\b", sql)):
+                plan = store.connection.execute(
+                    "EXPLAIN QUERY PLAN " + sql, tuple(parameters))
+                planned.append((sql, plan.fetchall()))
+            return run(store, sql, parameters, many)
+
+        monkeypatch.setattr(DBAPIGraphStore, "_run", explain_then_run)
+        store = create_store("sqlite")
+        try:
+            store.load_graph(power_law_graph(300, edges_per_node=2, seed=7))
+            build_segtable(store, 8.0, sql_style=TSQL)
+            for search in (dijkstra_single_direction, bidirectional_dijkstra,
+                           bidirectional_set_dijkstra):
+                search(store, 0, 200, sql_style=TSQL)
+            bidirectional_segtable_search(store, 0, 200, sql_style=TSQL,
+                                          lthd=8.0)
+        finally:
+            store.close()
+
+        updated = {re.match(r"\s*UPDATE (\w+)", sql).group(1)
+                   for sql, _ in planned if sql.lstrip().startswith("UPDATE")}
+        assert updated == {"tvisited", "tsegwork"}
+        visited_scans = {" ".join(sql.split()): detail
+                         for sql, steps in planned
+                         for _, _, _, detail in steps
+                         if re.match(r"SCAN (tvisited|v)\b", detail)}
+        assert not visited_scans, (
+            f"{len(visited_scans)} tsql M statement shape(s) scan "
+            f"tvisited: {visited_scans}")
+        correlated = {" ".join(sql.split()): self.correlated_scans(steps)
+                      for sql, steps in planned
+                      if self.correlated_scans(steps)}
+        assert not correlated, (
+            f"{len(correlated)} tsql M statement shape(s) scan inside a "
+            f"correlated subquery: {correlated}")
