@@ -13,13 +13,11 @@ CI ``bench-results`` artifact) and asserts, for every workload, that
 between two runs of the *same* method is not planner regret) or landed
 within 15% of the best explicit time.
 
-A second, timing-free gate covers the warm-start contract: persisting the
-calibration profile and reopening the catalog reattaches a calibrated
-planner with **zero** re-probing (``service.calibrations_run == 0``).
+The calibration runs in-process, per workload: a profile is never
+persisted, so nothing is reattached across processes.
 """
 
 import json
-import os
 import random
 import time
 
@@ -75,7 +73,7 @@ def _timed_batch(service, queries, method):
     return best, resolved
 
 
-def run_experiment(tmp_dir):
+def run_experiment():
     backend = bench_backend()
     rows = []
     for workload in _workloads():
@@ -117,28 +115,10 @@ def run_experiment(tmp_dir):
                                  or auto_method == best_method),
         })
 
-    # Warm-start gate: the persisted profile reattaches with zero probes.
-    catalog_dir = os.path.join(tmp_dir, "catalog")
-    graph = power_law_graph(scaled(160), edges_per_node=2, seed=29)
-    with PathService(catalog_path=catalog_dir,
-                     default_backend="sqlite") as cold:
-        cold.add_graph("warm", graph, backend="sqlite",
-                       db_path=os.path.join(catalog_dir, "warm.db"))
-        cold.calibrate("sqlite")
-        cold_probes = cold.calibrations_run
-    with PathService.open(catalog_dir) as warm:
-        warm.explain(0, 40, graph="warm")  # planner runs on the profile...
-        warm_probes = warm.calibrations_run  # ...without a single probe
-        warm_calibrated = warm.cost_model("sqlite").profile.calibrated
-    warm_start = {
-        "cold_probes": cold_probes,
-        "warm_probes": warm_probes,
-        "warm_profile_calibrated": warm_calibrated,
-    }
-    return rows, warm_start
+    return rows
 
 
-def _write_json(rows, warm_start, backend):
+def _write_json(rows, backend):
     payload = {
         "benchmark": "planner_auto",
         "backend": backend,
@@ -146,7 +126,6 @@ def _write_json(rows, warm_start, backend):
         "num_queries": NUM_QUERIES,
         "rounds": ROUNDS,
         "workloads": rows,
-        "warm_start": warm_start,
         "max_regret": max(row["regret"] for row in rows),
     }
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -155,10 +134,9 @@ def _write_json(rows, warm_start, backend):
     return path, payload
 
 
-def test_planner_auto_regret(benchmark, tmp_path):
-    rows, warm_start = benchmark.pedantic(
-        run_experiment, args=(str(tmp_path),), rounds=1, iterations=1)
-    _, payload = _write_json(rows, warm_start, bench_backend())
+def test_planner_auto_regret(benchmark):
+    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    _write_json(rows, bench_backend())
     write_report(
         "planner_auto",
         paper_reference(
@@ -168,8 +146,6 @@ def test_planner_auto_regret(benchmark, tmp_path):
                 "auto prices DJ/BDJ/BSDJ/BSEG from measured unit costs",
                 f"Gate: auto within {REGRET_LIMIT:.0%} of the best "
                 f"explicit method (or it resolved to the measured best)",
-                "Warm start reattaches the calibrated planner with zero "
-                "re-probing (asserted)",
             ],
         ),
         format_table(rows, title="Planner regret per smoke workload"),
@@ -180,6 +156,3 @@ def test_planner_auto_regret(benchmark, tmp_path):
             f"{row['auto_s']}s) exceeds {REGRET_LIMIT:.0%} regret over "
             f"{row['best_method']} — regret {row['regret']:.1%}"
         )
-    assert payload["warm_start"]["cold_probes"] == 1
-    assert payload["warm_start"]["warm_probes"] == 0
-    assert payload["warm_start"]["warm_profile_calibrated"]

@@ -16,20 +16,16 @@ catalog makes that state durable:
   that changed underneath the manifest: the entry is marked stale and
   attaches fail with :class:`~repro.errors.FingerprintMismatchError`
   until it is re-registered or rebuilt;
-* per-backend planner-calibration profiles
-  (:class:`~repro.catalog.manifest.CalibrationRecord`) persist the cost
-  model's measured unit costs, so a warm start plans ``method="auto"``
-  from measured costs with zero re-probing;
 * ``python -m repro.catalog`` (:mod:`repro.catalog.cli`) lists, inspects,
-  rebuilds, calibrates, and garbage-collects entries from a shell.
+  rebuilds, and garbage-collects entries from a shell.
 
-See ``docs/catalog.md`` for the manifest format and invalidation rules,
-and ``docs/planner.md`` for the calibration lifecycle.
+Planner calibration is not cataloged: a probe prices the process that ran
+it (``docs/planner.md``).  See ``docs/catalog.md`` for the manifest format
+and invalidation rules.
 """
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.manifest import (
-    CalibrationRecord,
     CatalogEntry,
     MANIFEST_NAME,
     MANIFEST_VERSION,
@@ -40,7 +36,6 @@ from repro.catalog.manifest import (
 )
 
 __all__ = [
-    "CalibrationRecord",
     "Catalog",
     "CatalogEntry",
     "MANIFEST_NAME",

@@ -37,7 +37,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from repro.catalog.manifest import (
-    CalibrationRecord,
     CatalogEntry,
     MANIFEST_NAME,
     Manifest,
@@ -223,31 +222,6 @@ class Catalog:
                 )
             self._manifest.entries[name] = entry.touched(segtable=record)
             self._save()
-
-    def get_calibration(self, backend: str) -> Optional[CalibrationRecord]:
-        """The planner-calibration record persisted for ``backend``, or
-        ``None``.  Callers must check ``profile.reattachable()`` — unit
-        costs measured on another machine, or under another
-        ``PROFILE_VERSION``, do not apply here."""
-        with self._lock:
-            return self._manifest.calibrations.get(backend.lower())
-
-    def calibrations(self) -> Dict[str, CalibrationRecord]:
-        """A snapshot of every persisted calibration record, by backend."""
-        with self._lock:
-            return dict(self._manifest.calibrations)
-
-    def set_calibration(self, record: CalibrationRecord) -> None:
-        """Persist (or replace) ``record`` under its backend name."""
-        with self._mutate():
-            self._manifest.calibrations[record.backend.lower()] = record
-            self._save()
-
-    def remove_calibration(self, backend: str) -> None:
-        """Drop ``backend``'s calibration record (a no-op when absent)."""
-        with self._mutate():
-            if self._manifest.calibrations.pop(backend.lower(), None) is not None:
-                self._save()
 
     def set_shard(self, name: str, shard: Optional[str]) -> None:
         """Stamp (or clear, with ``None``) the shard-ownership record on

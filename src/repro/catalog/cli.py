@@ -2,12 +2,11 @@
 
 Subcommands::
 
-    python -m repro.catalog list      --catalog PATH
-    python -m repro.catalog inspect   --catalog PATH NAME
-    python -m repro.catalog rebuild   --catalog PATH NAME [--lthd X]
-    python -m repro.catalog gc        --catalog PATH [--stale]
-    python -m repro.catalog shards    --catalog PATH [--catalog PATH ...]
-    python -m repro.catalog calibrate --catalog PATH [--backend NAME ...]
+    python -m repro.catalog list    --catalog PATH
+    python -m repro.catalog inspect --catalog PATH NAME
+    python -m repro.catalog rebuild --catalog PATH NAME [--lthd X]
+    python -m repro.catalog gc      --catalog PATH [--stale]
+    python -m repro.catalog shards  --catalog PATH [--catalog PATH ...]
 
 ``list`` prints one line per entry; ``inspect`` dumps an entry's manifest
 JSON; ``rebuild`` re-derives an entry (fingerprint, statistics, SegTable)
@@ -17,11 +16,7 @@ flagged by a failed fingerprint check); ``shards`` treats each given
 catalog as one shard and prints the graph → shard routing table a
 :class:`repro.shard.ShardRouter` would derive, without opening any
 service — conflicting ownership (same graph name, different content
-fingerprints) is reported and exits non-zero; ``calibrate`` runs the
-planner's cost-model micro-benchmark for each backend (defaulting to the
-backends the catalog's entries use) and persists the measured profiles in
-the manifest, so every later warm start plans ``method="auto"`` from
-measured costs with zero re-probing.
+fingerprints) is reported and exits non-zero.
 
 Exit status is 0 on success, 1 on a catalog error (missing entry,
 unreadable manifest, missing database file) or a routing conflict.
@@ -98,51 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "positionally (needed when two catalog "
                                  "directories share a basename)")
 
-    calibrate_cmd = subparsers.add_parser(
-        "calibrate",
-        help="measure per-backend planner unit costs and persist the "
-             "profiles in the manifest")
-    add_catalog_arg(calibrate_cmd)
-    calibrate_cmd.add_argument("--backend", action="append", dest="backends",
-                               metavar="NAME",
-                               help="backend to calibrate (repeatable; "
-                                    "defaults to every backend the "
-                                    "catalog's entries use)")
-    calibrate_cmd.add_argument("--seed", type=int, default=0,
-                               help="probe-graph seed")
     return parser
-
-
-def _calibrate(catalog: Catalog, backends: Optional[Sequence[str]],
-               seed: int) -> List[str]:
-    """Run the ``calibrate`` subcommand; returns the report lines."""
-    from repro.catalog.manifest import CalibrationRecord
-    from repro.service.calibrate import calibrate_profile
-
-    if not backends:
-        backends = sorted({entry.backend
-                           for entry in catalog.entries().values()})
-    if not backends:
-        raise PersistentCatalogError(
-            f"catalog at {catalog.path} has no entries; pass --backend "
-            f"NAME to name the backend(s) to calibrate"
-        )
-    lines = []
-    for backend in backends:
-        profile = calibrate_profile(backend, seed=seed)
-        catalog.set_calibration(CalibrationRecord(
-            backend=backend, profile=profile,
-            calibrated_at=profile.calibrated_at))
-        biases = ", ".join(f"{method}={bias:.2f}" for method, bias
-                           in sorted(profile.method_bias.items()))
-        lines.append(
-            f"calibrated {backend!r} in {profile.probe_seconds:.2f}s: "
-            f"statement={profile.statement_cost * 1e6:.1f}us "
-            f"row={profile.row_cost * 1e6:.2f}us "
-            f"seg_row={profile.seg_row_cost * 1e6:.2f}us "
-            f"biases [{biases}]"
-        )
-    return lines
 
 
 def _shards_table(catalog_paths: Sequence[str],
@@ -221,9 +172,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"rebuilt {entry.name!r}: {entry.num_nodes} nodes, "
                   f"{entry.num_edges} edges, fingerprint "
                   f"{entry.fingerprint[:18]}..., {segments} segments")
-        elif args.command == "calibrate":
-            for line in _calibrate(catalog, args.backends, args.seed):
-                print(line)
         elif args.command == "gc":
             removed = catalog.gc(remove_stale=args.stale)
             if removed:

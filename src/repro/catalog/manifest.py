@@ -24,17 +24,10 @@ from typing import Dict, Optional
 _TEMP_COUNTER = 0
 _TEMP_COUNTER_LOCK = threading.Lock()
 
-from typing import TYPE_CHECKING
-
 from repro.core.stats import SegTableBuildStats
 from repro.errors import ManifestError
 from repro.obs.clock import wall_time
 from repro.graph.stats import GraphStatistics
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; imported lazily at
-    # runtime so the catalog layer does not pull in the whole service
-    # package (which sits above it) at import time.
-    from repro.service.costmodel import CostProfile
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -91,43 +84,6 @@ class SegTableRecord:
             in_table=str(data.get("in_table", DEFAULT_IN_TABLE)),
             build=None if build is None else SegTableBuildStats.from_dict(build),
             built_at=float(data.get("built_at", 0.0)),
-        )
-
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    """One backend's persisted planner-calibration profile.
-
-    Keyed by backend name in the manifest; the profile inside carries the
-    host fingerprint and ``PROFILE_VERSION`` it was measured under, and a
-    reattaching service ignores records from other hosts (unit costs do
-    not travel between machines) or other versions (nor between versions
-    of the statements).
-
-    Attributes:
-        backend: backend-registry name the profile was measured for.
-        profile: the measured unit costs and per-method biases.
-        calibrated_at: UNIX timestamp of the probe run.
-    """
-
-    backend: str
-    profile: "CostProfile"
-    calibrated_at: float = 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "profile": self.profile.as_dict(),
-            "calibrated_at": self.calibrated_at,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CalibrationRecord":
-        from repro.service.costmodel import CostProfile
-        return cls(
-            backend=str(data["backend"]),
-            profile=CostProfile.from_dict(dict(data["profile"])),
-            calibrated_at=float(data.get("calibrated_at", 0.0)),
         )
 
 
@@ -229,25 +185,17 @@ class CatalogEntry:
 
 @dataclass
 class Manifest:
-    """The whole catalog document: a format version, named entries, and
-    per-backend planner-calibration records."""
+    """The whole catalog document: a format version and named entries."""
 
     version: int = MANIFEST_VERSION
     entries: Dict[str, CatalogEntry] = field(default_factory=dict)
-    calibrations: Dict[str, CalibrationRecord] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        document: Dict[str, object] = {
+        return {
             "format_version": self.version,
             "graphs": {name: entry.to_dict()
                        for name, entry in sorted(self.entries.items())},
         }
-        if self.calibrations:
-            document["calibrations"] = {
-                backend: record.to_dict()
-                for backend, record in sorted(self.calibrations.items())
-            }
-        return document
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Manifest":
@@ -268,21 +216,7 @@ class Manifest:
                 raise ManifestError(
                     f"catalog entry {name!r} is malformed: {exc}"
                 ) from exc
-        raw_calibrations = data.get("calibrations", {})
-        if not isinstance(raw_calibrations, dict):
-            raise ManifestError(
-                "catalog manifest 'calibrations' must be an object"
-            )
-        calibrations = {}
-        for backend, raw in raw_calibrations.items():
-            try:
-                calibrations[backend] = CalibrationRecord.from_dict(raw)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ManifestError(
-                    f"calibration record {backend!r} is malformed: {exc}"
-                ) from exc
-        return cls(version=MANIFEST_VERSION, entries=entries,
-                   calibrations=calibrations)
+        return cls(version=MANIFEST_VERSION, entries=entries)
 
 
 def load_manifest(path: str) -> Manifest:
@@ -334,7 +268,6 @@ def save_manifest(manifest: Manifest, path: str) -> None:
 
 
 __all__ = [
-    "CalibrationRecord",
     "CatalogEntry",
     "DEFAULT_IN_TABLE",
     "DEFAULT_OUT_TABLE",

@@ -3,8 +3,8 @@
 Every duration measured anywhere in :mod:`repro` goes through this
 module: :func:`now` is the monotonic high-resolution clock for elapsed
 time, :func:`timer` is the exception-safe context manager around it, and
-:func:`wall_time` is the epoch clock for *timestamps* (catalog records,
-calibration dates) — the one thing a monotonic clock cannot provide.
+:func:`wall_time` is the epoch clock for *timestamps* (catalog records)
+— the one thing a monotonic clock cannot provide.
 
 Centralizing the choice means the rest of ``src/repro`` never touches
 ``time.perf_counter()`` / ``time.time()`` directly (a lint check,
@@ -32,7 +32,7 @@ def now() -> float:
 
 def wall_time() -> float:
     """Wall-clock seconds since the Unix epoch, for *timestamps* only
-    (manifest records, calibration dates).  Subject to clock steps; never
+    (manifest records).  Subject to clock steps; never
     use it to measure a duration."""
     return time.time()
 

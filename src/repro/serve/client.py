@@ -18,7 +18,7 @@ Transient transport failures are retried ``retries`` times with a
 *full-jitter* exponential backoff (attempt ``n`` sleeps a uniform draw
 from ``[0, BACKOFF_SECONDS * 2**n]``) before
 :class:`ShardUnavailableError` escapes — but only for *idempotent*
-requests; ``calibrate`` and ``stamp`` are attempted once.  An overloaded
+requests; ``stamp`` is attempted once.  An overloaded
 server's ``retry_after`` hint floors the drawn delay, and a query budget
 (``QuerySpec.timeout_s``) caps both the sleep and the per-attempt HTTP
 timeout, so a budgeted query can never out-sleep its own deadline.
@@ -47,7 +47,6 @@ from repro.core.stats import BatchStats
 from repro.errors import RemoteProtocolError, ReproError, ShardUnavailableError
 from repro.obs import current_request_id, new_request_id
 from repro.serve import protocol
-from repro.service.costmodel import CostProfile
 from repro.service.planner import QueryPlan, QuerySpec
 
 DEFAULT_TIMEOUT = 30.0
@@ -336,25 +335,6 @@ class ShardClient:
                 f"({exc})"
             ) from exc
         return results, [bool(flag) for flag in raw_cached], stats, errors
-
-    def calibrate(self, backend: Optional[str] = None, *,
-                  persist: bool = True,
-                  **probe_options: object) -> Dict[str, CostProfile]:
-        """Calibrate the remote shard's planner cost model (no retries —
-        probing is expensive and not idempotent on the server's catalog)."""
-        data = self._request("/calibrate", {
-            "backend": backend,
-            "persist": persist,
-            "probe_options": dict(probe_options),
-        }, idempotent=False)
-        try:
-            return {str(name): CostProfile.from_dict(dict(raw))
-                    for name, raw in dict(self._field(data, "profiles")).items()}
-        except (TypeError, ValueError) as exc:
-            raise RemoteProtocolError(
-                f"shard at {self.url} answered malformed cost profiles "
-                f"({exc})"
-            ) from exc
 
     # -- helpers -----------------------------------------------------------------
 

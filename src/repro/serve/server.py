@@ -19,7 +19,6 @@ envelopes):
 ``/explain``              POST   plan one query without executing
 ``/plan_many``            POST   validate/plan a batch slice (fail-fast pass)
 ``/execute``              POST   execute a batch slice, stats included
-``/calibrate``            POST   calibrate the planner cost model
 ========================  =====  =============================================
 
 Library errors cross the wire as their :mod:`repro.errors` class name with
@@ -258,7 +257,6 @@ class _ShardRequestHandler(BaseHTTPRequestHandler):
             "/explain": self._handle_explain,
             "/plan_many": self._handle_plan_many,
             "/execute": self._handle_execute,
-            "/calibrate": self._handle_calibrate,
         })
 
     # -- endpoints ---------------------------------------------------------------
@@ -358,16 +356,6 @@ class _ShardRequestHandler(BaseHTTPRequestHandler):
             "errors": protocol.errors_to_list(batch.errors),
             "stats": batch.stats.as_dict(),
         }
-
-    def _handle_calibrate(self) -> Dict[str, object]:
-        body = self._read_body()
-        backend = body.get("backend")
-        profiles = self._service.calibrate(
-            None if backend is None else str(backend),
-            persist=bool(body.get("persist", True)),
-            **dict(body.get("probe_options", {})))
-        return {"profiles": {name: profile.as_dict()
-                             for name, profile in profiles.items()}}
 
 
 class _ShardHTTPServer(ThreadingHTTPServer):

@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.manifest import CatalogEntry
     from repro.core.path import PathResult
     from repro.service.batch import BatchResult
-    from repro.service.costmodel import CostProfile
     from repro.service.planner import QueryPlan, QuerySpec
     from repro.service.session import PathService
 
@@ -130,12 +129,6 @@ class RemoteTransport(ShardTransport):
         return BatchResult(specs=list(specs), results=results,
                            from_cache=from_cache, stats=stats,
                            errors=errors)
-
-    def calibrate(self, backend: Optional[str] = None, *,
-                  persist: bool = True,
-                  **probe_options: object) -> Dict[str, "CostProfile"]:
-        return self._client.calibrate(backend, persist=persist,
-                                      **probe_options)
 
     def health(self) -> Dict[str, object]:
         return dict(self._client.health())

@@ -11,9 +11,9 @@ and the relational engine underneath:
   lifecycle and memoizes SegTable builds;
 * the **planner** resolves ``method="auto"`` into DJ/BDJ/BSDJ/BSEG with a
   **calibrated cost model** (:mod:`repro.service.costmodel`): per-backend
-  unit costs measured by :mod:`repro.service.calibrate`, persisted in the
-  catalog manifest, corrected by runtime feedback from every executed
-  query, and stabilized by plan hysteresis; the same model drives
+  unit costs measured in-process by :mod:`repro.service.calibrate` (never
+  persisted), corrected by runtime feedback from every executed query,
+  and stabilized by plan hysteresis; the same model drives
   ``build_segtable(lthd="auto")``, and :meth:`PathService.explain`
   returns the chosen :class:`QueryPlan` with its per-method cost
   breakdown and predicted FEM iteration shape;
@@ -59,7 +59,6 @@ from repro.service.costmodel import (
     CostModel,
     CostProfile,
     default_profile,
-    host_fingerprint,
 )
 from repro.service.executor import Executor
 from repro.service.pool import PoolStats, StorePool
@@ -99,7 +98,6 @@ __all__ = [
     "create_store",
     "default_profile",
     "estimate_result_bytes",
-    "host_fingerprint",
     "execute_batch",
     "normalize_queries",
     "plan_query",

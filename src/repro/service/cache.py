@@ -222,20 +222,6 @@ class ResultCache:
             self._hit_counter.inc()
             return entry.result
 
-    def peek(self, key: CacheKey) -> Optional[PathResult]:
-        """Like :meth:`get` (including the recency refresh and TTL check)
-        but without touching the hit/miss counters — for looking at the
-        cache without skewing the hit rate it reports."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            if self._expired(entry.inserted_at):
-                self._drop(key, ttl=True)
-                return None
-            self._entries.move_to_end(key)
-            return entry.result
-
     def put(self, key: CacheKey, result: PathResult) -> None:
         """Insert ``result``, evicting expired entries, then the
         least-recently-used entries past the count or memory bound.  A

@@ -20,7 +20,8 @@ the backend under test and measures, in order:
    absorbing whatever the structural model misses about this backend.
 
 Every timed section takes the **minimum over repeats** (interference only
-ever adds time), so profiles are stable enough to persist.  The whole
+ever adds time).  A profile prices only the process that measured it: it
+is never persisted, and runtime feedback keeps correcting it.  The whole
 probe takes well under a second on SQLite and a few seconds on the
 pure-Python engine.
 """
@@ -36,7 +37,7 @@ from repro.core.stats import QueryStats
 from repro.core.store.base import GraphStore
 from repro.core.store.registry import create_store
 from repro.errors import PathNotFoundError
-from repro.obs import timer, wall_time
+from repro.obs import timer
 from repro.graph.generators import grid_graph, power_law_graph
 from repro.graph.model import Graph
 from repro.graph.stats import compute_statistics
@@ -45,7 +46,6 @@ from repro.service.costmodel import (
     BIAS_MIN,
     CostModel,
     CostProfile,
-    host_fingerprint,
 )
 
 PROBE_NODES = 140
@@ -192,8 +192,7 @@ def calibrate_profile(backend: str, *, seed: int = 0,
             automatically for hosted server backends).
 
     Returns:
-        A calibrated :class:`~repro.service.costmodel.CostProfile` stamped
-        with this host's fingerprint.
+        A calibrated :class:`~repro.service.costmodel.CostProfile`.
     """
     started = timer()
     graph = probe_graph(probe_nodes, seed=seed)
@@ -222,14 +221,12 @@ def calibrate_profile(backend: str, *, seed: int = 0,
 
         profile = CostProfile(
             backend=backend,
-            host=host_fingerprint(),
             statement_cost=statement_cost,
             scan_row_cost=scan_row_cost,
             row_cost=row_cost,
             seg_row_cost=seg_row_cost,
             seg_build_row_cost=seg_build_row_cost,
             calibrated=True,
-            calibrated_at=wall_time(),
         )
 
         # Per-method starting biases: observed / structurally-predicted,

@@ -46,22 +46,13 @@ that, not a ``log n`` idealization, is what the instrumented drivers show.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import platform
-import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stats import SegTableBuildStats
 from repro.graph.stats import GraphStatistics
-
-PROFILE_VERSION = 2
-"""Version of the unit costs a :class:`CostProfile` measures.  Bumped when
-a change to the statements makes older measurements stale (2: E probes
-the edge relation by the frontier instead of scanning it); a persisted
-profile of another version is ignored, like one from another host."""
 
 AUTO_CANDIDATES: Tuple[str, ...] = ("DJ", "BDJ", "BSDJ")
 """Methods ``auto`` prices on every graph; BSEG joins when a SegTable exists."""
@@ -98,28 +89,11 @@ BIAS_MIN, BIAS_MAX = 0.05, 20.0
 HYSTERESIS_MARGIN = 0.88
 
 
-def host_fingerprint() -> str:
-    """Stable digest identifying the machine a profile was measured on.
-
-    Unit costs are hardware- and interpreter-specific, so persisted
-    profiles only reattach on a matching host (platform, machine, Python
-    major.minor) — anything else re-calibrates rather than planning from
-    another box's clock.
-    """
-    basis = "|".join((
-        platform.node(), platform.machine(), platform.system(),
-        f"py{sys.version_info.major}.{sys.version_info.minor}",
-    ))
-    return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:24]
-
-
 @dataclass
 class CostProfile:
-    """Measured (or default) unit costs of one backend on one host."""
+    """Measured (or default) unit costs of one backend in this process."""
 
     backend: str = ""
-    host: str = ""
-    version: int = PROFILE_VERSION
     statement_cost: float = DEFAULT_STATEMENT_COST
     scan_row_cost: float = DEFAULT_SCAN_ROW_COST
     row_cost: float = DEFAULT_ROW_COST
@@ -128,68 +102,15 @@ class CostProfile:
     method_bias: Dict[str, float] = field(default_factory=dict)
     global_bias: float = 1.0
     calibrated: bool = False
-    calibrated_at: float = 0.0
     probe_seconds: float = 0.0
 
     def bias(self, method: str) -> float:
         return self.method_bias.get(method, 1.0)
 
-    def reattachable(self) -> bool:
-        """Whether a persisted profile may price this process's queries:
-        measured on this host, under this :data:`PROFILE_VERSION`."""
-        return (self.host == host_fingerprint()
-                and self.version == PROFILE_VERSION)
-
-    def clone(self) -> "CostProfile":
-        """An independent copy (own ``method_bias`` dict).  Persisting or
-        reattaching always clones: a live profile keeps mutating under
-        runtime feedback, and a snapshot must not."""
-        return replace(self, method_bias=dict(self.method_bias))
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "version": self.version,
-            "backend": self.backend,
-            "host": self.host,
-            "statement_cost": self.statement_cost,
-            "scan_row_cost": self.scan_row_cost,
-            "row_cost": self.row_cost,
-            "seg_row_cost": self.seg_row_cost,
-            "seg_build_row_cost": self.seg_build_row_cost,
-            "method_bias": dict(self.method_bias),
-            "global_bias": self.global_bias,
-            "calibrated": self.calibrated,
-            "calibrated_at": self.calibrated_at,
-            "probe_seconds": self.probe_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CostProfile":
-        return cls(
-            backend=str(data.get("backend", "")),
-            host=str(data.get("host", "")),
-            version=int(data.get("version", 0)),
-            statement_cost=float(data.get("statement_cost",
-                                          DEFAULT_STATEMENT_COST)),
-            scan_row_cost=float(data.get("scan_row_cost",
-                                         DEFAULT_SCAN_ROW_COST)),
-            row_cost=float(data.get("row_cost", DEFAULT_ROW_COST)),
-            seg_row_cost=float(data.get("seg_row_cost",
-                                        DEFAULT_SEG_ROW_COST)),
-            seg_build_row_cost=float(data.get("seg_build_row_cost",
-                                              DEFAULT_SEG_BUILD_ROW_COST)),
-            method_bias={str(method): float(bias) for method, bias
-                         in dict(data.get("method_bias", {})).items()},
-            global_bias=float(data.get("global_bias", 1.0)),
-            calibrated=bool(data.get("calibrated", False)),
-            calibrated_at=float(data.get("calibrated_at", 0.0)),
-            probe_seconds=float(data.get("probe_seconds", 0.0)),
-        )
-
 
 def default_profile(backend: str = "") -> CostProfile:
     """An uncalibrated profile with the built-in unit costs."""
-    return CostProfile(backend=backend, host=host_fingerprint())
+    return CostProfile(backend=backend)
 
 
 @dataclass(frozen=True)
@@ -654,7 +575,5 @@ __all__ = [
     "CostModel",
     "CostProfile",
     "CostSample",
-    "PROFILE_VERSION",
     "default_profile",
-    "host_fingerprint",
 ]

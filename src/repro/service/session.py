@@ -102,7 +102,7 @@ from repro.obs.schema import (
 )
 from repro.service.answer import AnswerPath, Outcome
 from repro.service.cache import CacheStats, ResultCache
-from repro.service.costmodel import CostModel, CostProfile
+from repro.service.costmodel import CostModel, CostProfile, default_profile
 from repro.service.pool import PoolStats, StorePool
 from repro.service.planner import (
     KIND_PATH,
@@ -269,7 +269,6 @@ class PathService:
             self._catalog = Catalog(catalog_path)
         self._segtable_builds = 0
         self._cost_models: Dict[str, CostModel] = {}
-        self._calibrations_run = 0
         self._closed = False
 
     # -- warm start --------------------------------------------------------------
@@ -746,45 +745,27 @@ class PathService:
 
     def cost_model(self, backend: Optional[str] = None) -> CostModel:
         """The :class:`CostModel` pricing ``method="auto"`` for ``backend``
-        (the service default when ``None``).
-
-        Resolution order: a model already live in this session; a
-        calibration profile persisted in the bound catalog for this
-        backend, **this host and this** ``PROFILE_VERSION`` (warm starts
-        reattach a calibrated planner with zero re-probing); otherwise
-        the built-in default profile.  The same object keeps receiving
-        runtime feedback.
+        (the service default when ``None``): the model :meth:`calibrate`
+        measured in this session, or else one over the built-in default
+        profile.  The same object keeps receiving runtime feedback.
         """
         backend = (backend or self.default_backend).lower()
         model = self._cost_models.get(backend)
-        if model is not None:
-            return model
-        profile: Optional[CostProfile] = None
-        if self._catalog is not None:
-            record = self._catalog.get_calibration(backend)
-            if record is not None and record.profile.reattachable():
-                # Clone: the live model keeps mutating under runtime
-                # feedback, and the record the catalog hands out must not.
-                profile = record.profile.clone()
-        if profile is None:
-            from repro.service.costmodel import default_profile
-            profile = default_profile(backend)
-        model = CostModel(profile)
-        self._cost_models[backend] = model
+        if model is None:
+            model = CostModel(default_profile(backend))
+            self._cost_models[backend] = model
         return model
 
-    def calibrate(self, backend: Optional[str] = None, *,
-                  persist: bool = True,
+    def calibrate(self, backend: Optional[str] = None,
                   **probe_options: object) -> Dict[str, CostProfile]:
-        """Measure unit costs for one or more backends and adopt them.
+        """Measure unit costs for one or more backends and adopt them for
+        the rest of this session.  Nothing is persisted: a probe prices
+        the process that ran it.
 
         Args:
             backend: a backend name, or ``None`` to calibrate every
                 backend this session currently hosts graphs on (falling
                 back to the service default when nothing is hosted yet).
-            persist: record each profile in the bound catalog (if any), so
-                later sessions warm-start the calibrated planner without
-                re-probing.
             **probe_options: forwarded to
                 :func:`repro.service.calibrate.calibrate_profile`
                 (``seed``, ``probe_nodes``, ``queries_per_method``, ...).
@@ -815,25 +796,9 @@ class PathService:
                     if probe_path is not None:
                         options["store_path"] = probe_path
             profile = calibrate_profile(name, **options)  # type: ignore[arg-type]
-            self._calibrations_run += 1
             self._cost_models[name] = CostModel(profile)
             profiles[name] = profile
-            if persist and self._catalog is not None:
-                from repro.catalog.manifest import CalibrationRecord
-                # Persist a snapshot, not the live profile: concurrent
-                # query feedback mutates method_bias, and serialization
-                # must not race (or drift from) the measured numbers.
-                self._catalog.set_calibration(CalibrationRecord(
-                    backend=name, profile=profile.clone(),
-                    calibrated_at=profile.calibrated_at))
         return profiles
-
-    @property
-    def calibrations_run(self) -> int:
-        """How many calibration probes actually ran in this process —
-        profiles reattached from the catalog do not count.  The planner
-        benchmark asserts this stays zero after a warm start."""
-        return self._calibrations_run
 
     def recommend_lthd(self, graph: str = DEFAULT_GRAPH,
                        amortize_queries: int = 500
@@ -920,10 +885,7 @@ class PathService:
         plan = self.plan(spec, estimate=True)
         if not analyze:
             return plan
-        with timer() as planned:
-            executable = self.plan(spec)
-        result, _ = self._answer(executable, use_cache=False,
-                                 plan_seconds=planned.seconds)
+        result, _ = self._answer(spec, use_cache=False)
         return replace(plan, trace=result.trace)
 
     # -- queries -----------------------------------------------------------------
@@ -963,10 +925,7 @@ class PathService:
                          max_iterations=max_iterations,
                          kind=kind, max_hops=max_hops,
                          timeout_s=timeout_s)
-        with timer() as planned:
-            plan = self.plan(spec)
-        result, _ = self._answer(plan, use_cache=use_cache,
-                                 plan_seconds=planned.seconds)
+        result, _ = self._answer(spec, use_cache=use_cache)
         return result
 
     def one_to_many(self, source: int, targets: Sequence[int],
@@ -1122,11 +1081,11 @@ class PathService:
         return (spec.graph, spec.source, spec.target, plan.method,
                 spec.sql_style, spec.kind, spec.max_hops, self.shard_id)
 
-    def _answer(self, plan: QueryPlan, *, use_cache: bool = True,
+    def _answer(self, plan: Union[QueryPlan, QuerySpec], *,
+                use_cache: bool = True,
                 stats: Optional[BatchStats] = None,
                 replay: Optional[Outcome] = None,
-                checkout_timeout: Optional[float] = None,
-                plan_seconds: Optional[float] = None
+                checkout_timeout: Optional[float] = None
                 ) -> Tuple[PathResult, bool]:
         """Answer one planned query — the only code that does, for single
         queries, ``explain(analyze=True)`` and every batch member alike —
@@ -1141,40 +1100,47 @@ class PathService:
         the counters to bump, and a duplicate member's leader outcome.
 
         Opens a ``query`` trace span: the root of a fresh trace when no
-        span is ambient (a direct ``shortest_path`` call, a batch
-        worker), or a child when an outer layer — the shard router,
-        ``explain(analyze=True)`` — already traces this query.  Whoever
-        owns the root attaches the finished tree to ``result.trace``."""
-        spec = plan.spec
-        # A disabled cache gets no key, so it reports no phantom misses.
-        key = (self._query_key(plan) if use_cache and self._cache.capacity
-               else None)
-
-        def run() -> PathResult:
-            try:
-                result, queued, ran = self._run_timed(plan, checkout_timeout)
-            except BaseException as exc:
-                if isinstance(exc, DeadlineExceededError):
-                    self._registry.counter(
-                        METRIC_DEADLINE_EXCEEDED, {"graph": spec.graph},
-                        help="Queries whose time budget ran out "
-                             "mid-flight").inc()
-                # An unreachable pair still ran a full search; a pool
-                # failure happened before any store was obtained, so
-                # nothing ran.
-                if stats is not None and not isinstance(exc, ConcurrencyError):
-                    stats.add(executed=1)
-                raise
-            if stats is not None:
-                stats.add(executed=1, queue_time=queued, execute_time=ran)
-            return result
-
+        span is ambient (a direct ``shortest_path`` or
+        ``explain(analyze=True)`` call, a batch worker), or a child when
+        an outer layer — the shard router — already traces this query.
+        Whoever owns the root attaches the finished tree to
+        ``result.trace``.  A bare :class:`QuerySpec` (a single query) is
+        planned inside that span, under a ``plan`` child, so the root
+        covers its planning."""
+        spec = plan if isinstance(plan, QuerySpec) else plan.spec
         with self._tracer.span("query", graph=spec.graph, source=spec.source,
                                target=spec.target, kind=spec.kind,
-                               method=plan.method,
                                shard=self.shard_id) as query_span:
-            if plan_seconds is not None:
-                query_span.record("plan", plan_seconds, method=plan.method)
+            if isinstance(plan, QuerySpec):
+                with obs_span("plan") as plan_span:
+                    plan = self.plan(spec)
+                    plan_span.tag(method=plan.method)
+            query_span.tag(method=plan.method)
+            # A disabled cache gets no key, so it reports no phantom misses.
+            key = (self._query_key(plan)
+                   if use_cache and self._cache.capacity else None)
+
+            def run() -> PathResult:
+                try:
+                    result, queued, ran = self._run_timed(plan,
+                                                          checkout_timeout)
+                except BaseException as exc:
+                    if isinstance(exc, DeadlineExceededError):
+                        self._registry.counter(
+                            METRIC_DEADLINE_EXCEEDED, {"graph": spec.graph},
+                            help="Queries whose time budget ran out "
+                                 "mid-flight").inc()
+                    # An unreachable pair still ran a full search; a pool
+                    # failure happened before any store was obtained, so
+                    # nothing ran.
+                    if stats is not None and not isinstance(
+                            exc, ConcurrencyError):
+                        stats.add(executed=1)
+                    raise
+                if stats is not None:
+                    stats.add(executed=1, queue_time=queued, execute_time=ran)
+                return result
+
             result, replayed = self._answers.answer(
                 key, run, replay=replay, stats=stats)
             if query_span.trace is not None:

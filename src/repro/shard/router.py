@@ -106,7 +106,6 @@ from repro.shard.stats import RouterStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.batch import BatchResult
-    from repro.service.costmodel import CostProfile
     from repro.service.session import BatchQuery, PathService
 
 DEFAULT_GRAPH = "default"
@@ -937,27 +936,6 @@ class ShardRouter:
                         f"{scatter.shard_of[index]!r})"
                     )
         return scatter
-
-    # -- planner calibration -----------------------------------------------------
-
-    def calibrate(self, backend: Optional[str] = None, *,
-                  persist: bool = True, **probe_options: object
-                  ) -> Dict[str, Dict[str, "CostProfile"]]:
-        """Calibrate every shard's planner cost model.
-
-        Each shard runs its own probe (shards may sit on different
-        hardware or host graphs on different backends) and — with
-        ``persist=True`` — records the profile in its own catalog, so the
-        next :meth:`open` warm-starts every shard with a calibrated
-        planner and zero re-probing.  Remote shards probe server-side.
-
-        Returns ``{shard: {backend: CostProfile}}``.
-        """
-        return {
-            name: transport.calibrate(backend, persist=persist,
-                                      **probe_options)
-            for name, transport in self._transports.items()
-        }
 
     # -- rebalancing -------------------------------------------------------------
 

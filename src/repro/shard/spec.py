@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.manifest import CatalogEntry
     from repro.core.path import PathResult
     from repro.service.batch import BatchResult
-    from repro.service.costmodel import CostProfile
     from repro.service.planner import QueryPlan, QuerySpec
     from repro.service.session import PathService
 
@@ -172,13 +171,6 @@ class ShardTransport(ABC):
             self.service, list(specs), raise_on_unreachable=False,
             concurrency=concurrency, checkout_timeout=checkout_timeout,
             plans=None if plans is None else list(plans))
-
-    def calibrate(self, backend: Optional[str] = None, *,
-                  persist: bool = True,
-                  **probe_options: object) -> Dict[str, "CostProfile"]:
-        """Calibrate this shard's planner cost model."""
-        return self.service.calibrate(backend, persist=persist,
-                                      **probe_options)
 
     def health(self) -> Dict[str, object]:
         """A cheap liveness probe.  Raises (transport-dependent) when the

@@ -407,6 +407,15 @@ class TestCatalogCLI:
         assert "no catalog directory" in capsys.readouterr().err
         assert not os.path.exists(missing)
 
+    def test_calibrate_is_not_a_command(self, catalog_dir, capsys):
+        # A calibration prices only the process that measured it, so the
+        # catalog has no verb to record one.
+        os.makedirs(catalog_dir)
+        with pytest.raises(SystemExit) as exited:
+            catalog_main(["calibrate", "--catalog", catalog_dir])
+        assert exited.value.code == 2
+        assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+
 
 class TestCrossProcessSafety:
     def test_mutations_merge_with_on_disk_writes(self, catalog_dir,

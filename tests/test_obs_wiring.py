@@ -51,6 +51,36 @@ class TestQueryTrace:
         # Summed direct children stay within the root's wall time.
         assert root.child_seconds() <= root.duration_s * 1.5 + 1e-6
 
+    @pytest.mark.parametrize("analyze", [False, True],
+                             ids=["shortest_path", "explain_analyze"])
+    def test_query_span_covers_planning(self, service, monkeypatch,
+                                        analyze):
+        """Planning runs inside the ``query`` root.  The clock is frozen
+        and advances only while the service plans, so a ``plan`` child
+        measured outside the root would outlast it."""
+        import repro.obs.clock
+        import repro.obs.trace
+
+        clock = [100.0]
+        monkeypatch.setattr(repro.obs.clock, "now", lambda: clock[0])
+        monkeypatch.setattr(repro.obs.trace, "now", lambda: clock[0])
+        real_plan = PathService.plan
+
+        def slow_plan(self, spec, estimate=False):
+            clock[0] += 0.010
+            return real_plan(self, spec, estimate=estimate)
+
+        monkeypatch.setattr(PathService, "plan", slow_plan)
+        if analyze:
+            trace = service.explain(0, 30, graph="g", analyze=True).trace
+        else:
+            trace = service.shortest_path(0, 30, graph="g").trace
+        root = trace.root
+        (plan,) = trace.find("plan")
+        assert plan.duration_s == pytest.approx(0.010)
+        assert plan.offset_s + plan.duration_s <= root.duration_s + 1e-12
+        assert root.child_seconds() <= root.duration_s + 1e-12
+
     def test_cache_hit_is_traced_as_hit(self, service):
         service.shortest_path(0, 30, graph="g")
         result = service.shortest_path(0, 30, graph="g")

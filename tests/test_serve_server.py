@@ -127,13 +127,6 @@ class TestShardClient:
         entries = ShardClient(server.url).routing_entries()
         assert entries["alpha"].shard == "srv"
 
-    def test_calibrate_runs_server_side(self, server):
-        profiles = ShardClient(server.url).calibrate(
-            "sqlite", persist=False, probe_nodes=40,
-            queries_per_method=1, repeats=1)
-        assert "sqlite" in profiles
-        assert profiles["sqlite"].calibrated_at
-
 
 class TestRemoteRouter:
     @pytest.fixture

@@ -76,14 +76,6 @@ class TestTTLEviction:
         assert stats.ttl_evictions == 1
         assert stats.evictions == 1
 
-    def test_peek_honours_ttl(self):
-        cache = ResultCache(capacity=8, ttl_seconds=10.0)
-        clock = FakeClock()
-        cache._clock = clock
-        cache.put(("g", 0, 1), _result())
-        clock.advance(11.0)
-        assert cache.peek(("g", 0, 1)) is None
-
     def test_invalid_ttl_rejected(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=8, ttl_seconds=0.0)

@@ -1,20 +1,19 @@
 """Tests for the calibrated cost model behind ``method="auto"``.
 
-Covers: profile (de)serialization and catalog round-trips, the structural
-model's choices on fixture graphs, calibration probes producing choices
-that match the measured-fastest method, the runtime feedback loop
-correcting a deliberately mis-seeded profile, plan hysteresis, cost-driven
-``lthd="auto"`` landing in Figure 7's good band, and warm starts reusing a
-persisted profile with zero re-probing.
+Covers: the structural model's choices on fixture graphs, calibration
+probes producing choices that match the measured-fastest method, the
+runtime feedback loop correcting a deliberately mis-seeded profile, plan
+hysteresis, cost-driven ``lthd="auto"`` landing in Figure 7's good band,
+and a calibration living only in the process that measured it.
 """
 
+import json
 import os
 import time
 
 import pytest
 
-from repro.catalog import Catalog, CalibrationRecord, Manifest
-from repro.catalog.manifest import load_manifest, save_manifest
+from repro.catalog import MANIFEST_NAME
 from repro.errors import InvalidQueryError
 from repro.graph.generators import (
     grid_graph,
@@ -22,15 +21,13 @@ from repro.graph.generators import (
     power_law_graph,
 )
 from repro.graph.stats import compute_statistics
+from repro.memory.dijkstra import dijkstra_shortest_path
 from repro.service import PathService
 from repro.service.calibrate import calibrate_profile
 from repro.service.costmodel import (
     AUTO_CANDIDATES,
-    PROFILE_VERSION,
     CostModel,
-    CostProfile,
     default_profile,
-    host_fingerprint,
 )
 
 QUICK_PROBE = dict(probe_nodes=80, queries_per_method=2, repeats=2)
@@ -41,36 +38,6 @@ QUICK_PROBE = dict(probe_nodes=80, queries_per_method=2, repeats=2)
 def sqlite_profile():
     """One real calibration of the sqlite backend, shared by the module."""
     return calibrate_profile("sqlite")
-
-
-class TestCostProfile:
-    def test_round_trip_preserves_every_field(self):
-        profile = CostProfile(
-            backend="sqlite", host="abc", statement_cost=1e-5,
-            scan_row_cost=2e-8, row_cost=3e-6, seg_row_cost=4e-6,
-            seg_build_row_cost=5e-6,
-            method_bias={"DJ": 2.0, "BSEG": 0.5}, global_bias=1.5,
-            calibrated=True, calibrated_at=123.0, probe_seconds=0.25)
-        restored = CostProfile.from_dict(profile.as_dict())
-        assert restored == profile
-
-    def test_version_is_carried_and_missing_reads_as_zero(self):
-        profile = default_profile("sqlite")
-        assert profile.version == PROFILE_VERSION == 2
-        assert profile.reattachable()
-        data = profile.as_dict()
-        del data["version"]
-        assert CostProfile.from_dict(data).version == 0
-        assert not CostProfile.from_dict(data).reattachable()
-
-    def test_default_profile_is_uncalibrated_and_host_stamped(self):
-        profile = default_profile("minidb")
-        assert not profile.calibrated
-        assert profile.backend == "minidb"
-        assert profile.host == host_fingerprint()
-
-    def test_host_fingerprint_is_stable(self):
-        assert host_fingerprint() == host_fingerprint()
 
 
 class TestDefaultModelChoices:
@@ -129,7 +96,6 @@ class TestCalibration:
         profile = sqlite_profile
         assert profile.calibrated
         assert profile.backend == "sqlite"
-        assert profile.host == host_fingerprint()
         assert profile.statement_cost > 0
         assert profile.row_cost > 0
         assert profile.seg_row_cost > 0
@@ -337,81 +303,45 @@ class TestLthdAuto:
 
 
 class TestManifestPersistence:
-    def _record(self, backend="sqlite", host=None, version=None):
-        profile = default_profile(backend)
-        if host is not None:
-            profile.host = host
-        if version is not None:
-            profile.version = version
-        profile.calibrated = True
-        profile.calibrated_at = 1234.5
-        return CalibrationRecord(backend=backend, profile=profile,
-                                 calibrated_at=1234.5)
+    """A catalog keeps no calibration: a probe prices only the process
+    that ran it, and manifests written with a ``calibrations`` section
+    still open."""
 
-    def test_manifest_round_trips_calibrations(self, tmp_path):
-        manifest = Manifest()
-        manifest.calibrations["sqlite"] = self._record()
-        path = str(tmp_path / "manifest.json")
-        save_manifest(manifest, path)
-        restored = load_manifest(path)
-        assert restored.calibrations["sqlite"] == manifest.calibrations["sqlite"]
-
-    def test_old_manifests_without_calibrations_load(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
-        save_manifest(Manifest(), path)
-        assert load_manifest(path).calibrations == {}
-
-    def test_catalog_set_get_remove(self, tmp_path):
-        catalog = Catalog(str(tmp_path / "cat"))
-        assert catalog.get_calibration("sqlite") is None
-        catalog.set_calibration(self._record())
-        assert catalog.get_calibration("sqlite") is not None
-        # A second handle sees the persisted record.
-        reopened = Catalog(str(tmp_path / "cat"))
-        assert reopened.get_calibration("sqlite").calibrated_at == 1234.5
-        assert "sqlite" in reopened.calibrations()
-        reopened.remove_calibration("sqlite")
-        assert Catalog(str(tmp_path / "cat")).get_calibration("sqlite") is None
-
-    def test_warm_start_reuses_profile_with_zero_reprobing(self, tmp_path):
+    def test_parent_format_calibrations_are_ignored_and_dropped(
+            self, tmp_path):
         catalog_dir = str(tmp_path / "cat")
         graph = power_law_graph(80, edges_per_node=2, seed=9)
         with PathService(catalog_path=catalog_dir) as cold:
             cold.add_graph("g", graph, backend="sqlite",
                            db_path=os.path.join(catalog_dir, "g.db"))
-            profiles = cold.calibrate("sqlite", **QUICK_PROBE)
-            assert cold.calibrations_run == 1
-            stamp = profiles["sqlite"].calibrated_at
+        manifest_path = os.path.join(catalog_dir, MANIFEST_NAME)
+        with open(manifest_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        # The section as earlier releases wrote it.
+        profile = {"version": 2, "backend": "sqlite", "host": "h",
+                   "statement_cost": 1e-5, "scan_row_cost": 1e-8,
+                   "row_cost": 1e-6, "seg_row_cost": 1e-6,
+                   "seg_build_row_cost": 1e-5,
+                   "method_bias": {"DJ": 3.0}, "global_bias": 1.0,
+                   "calibrated": True, "calibrated_at": 1234.5,
+                   "probe_seconds": 0.5}
+        document["calibrations"] = {"sqlite": {
+            "backend": "sqlite", "profile": profile,
+            "calibrated_at": 1234.5}}
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+
         with PathService.open(catalog_dir) as warm:
-            model = warm.cost_model("sqlite")
-            assert warm.calibrations_run == 0, "warm start must not re-probe"
-            assert model.profile.calibrated
-            assert model.profile.calibrated_at == stamp
-            # The calibrated planner answers immediately.
+            assert not warm.cost_model("sqlite").profile.calibrated
             assert warm.explain(0, 40, graph="g").cost_breakdown is not None
-
-    def test_profile_from_another_host_is_ignored(self, tmp_path):
-        catalog_dir = str(tmp_path / "cat")
-        Catalog(catalog_dir).set_calibration(
-            self._record(host="another-machine"))
-        with PathService(catalog_path=catalog_dir,
-                         default_backend="sqlite") as service:
-            assert not service.cost_model("sqlite").profile.calibrated
-
-    @pytest.mark.parametrize("version", [
-        pytest.param(PROFILE_VERSION - 1, id="previous"),
-        pytest.param(PROFILE_VERSION, id="current")])
-    def test_only_a_current_version_profile_reattaches(self, tmp_path,
-                                                        version):
-        """Profiles measured under other statements (v1 priced E as a
-        scan) are ignored like another host's; a current one reattaches
-        without a probe."""
-        catalog_dir = str(tmp_path / "cat")
-        Catalog(catalog_dir).set_calibration(self._record(version=version))
-        with PathService.open(catalog_dir) as service:
-            profile = service.cost_model("sqlite").profile
-            assert profile.calibrated == (version == PROFILE_VERSION)
-            assert service.calibrations_run == 0
+            answer = warm.shortest_path(0, 40, graph="g")
+            assert answer.distance == dijkstra_shortest_path(
+                graph, 0, 40).distance
+            warm.build_segtable("g", lthd=5.0)  # the next manifest save
+        with open(manifest_path, encoding="utf-8") as handle:
+            saved = json.load(handle)
+        assert "calibrations" not in saved
+        assert saved["graphs"]["g"]["segtable"]["lthd"] == 5.0
 
     def test_service_calibrate_defaults_to_hosted_backends(self, tmp_path):
         with PathService() as service:
@@ -419,25 +349,4 @@ class TestManifestPersistence:
                               backend="sqlite")
             profiles = service.calibrate(**QUICK_PROBE)
             assert set(profiles) == {"sqlite"}
-
-
-class TestCatalogCLI:
-    def test_calibrate_subcommand_persists_profiles(self, tmp_path, capsys):
-        from repro.catalog.cli import main
-        catalog_dir = str(tmp_path / "cat")
-        graph = grid_graph(4, 4, seed=1)
-        with PathService(catalog_path=catalog_dir) as service:
-            service.add_graph("g", graph, backend="sqlite",
-                              db_path=os.path.join(catalog_dir, "g.db"))
-        assert main(["calibrate", "--catalog", catalog_dir]) == 0
-        out = capsys.readouterr().out
-        assert "calibrated 'sqlite'" in out
-        record = Catalog(catalog_dir).get_calibration("sqlite")
-        assert record is not None and record.profile.calibrated
-
-    def test_calibrate_empty_catalog_needs_backend(self, tmp_path, capsys):
-        from repro.catalog.cli import main
-        catalog_dir = str(tmp_path / "cat")
-        Catalog(catalog_dir)  # materialize an empty catalog
-        assert main(["calibrate", "--catalog", catalog_dir]) == 1
-        assert "no entries" in capsys.readouterr().err
+            assert service.cost_model("sqlite").profile is profiles["sqlite"]

@@ -464,26 +464,6 @@ class TestStoreRelocation:
             store.close()
 
 
-class TestRouterCalibration:
-    def test_calibrate_fans_out_and_persists_per_shard(self, two_shards):
-        cat_a, cat_b, _ = two_shards
-        quick = dict(probe_nodes=60, queries_per_method=1, repeats=1)
-        with ShardRouter.open(catalog_paths=[cat_a, cat_b]) as router:
-            profiles = router.calibrate(**quick)
-            assert set(profiles) == set(router.shards())
-            for per_backend in profiles.values():
-                assert per_backend["sqlite"].calibrated
-        # Each shard's own catalog carries its profile; a reopened router
-        # warm-starts calibrated planners with zero re-probing.
-        for path in (cat_a, cat_b):
-            assert Catalog(path).get_calibration("sqlite") is not None
-        with ShardRouter.open(catalog_paths=[cat_a, cat_b]) as router:
-            for shard in router.shards():
-                service = router.service(shard)
-                assert service.calibrations_run == 0
-                assert service.cost_model("sqlite").profile.calibrated
-
-
 class TestShardsCLI:
     def test_shards_prints_routing_table(self, two_shards, capsys):
         cat_a, cat_b, _ = two_shards
