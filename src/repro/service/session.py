@@ -936,12 +936,12 @@ class PathService:
                     ) -> OneToManyResult:
         """Answer every ``source -> target`` pair with ONE shared DJ
         frontier expansion (see
-        :func:`repro.core.multi.dijkstra_one_to_many`).
+        :func:`repro.core.multi.dijkstra_one_to_many`): the public
+        one-source, many-target query.
 
         Each answered pair is bit-identical — distance *and* path — to
         running the pair alone with ``method="DJ"``; unreachable targets
-        map to ``None`` instead of raising.  The batch layer uses this as
-        the shared-frontier execution primitive for same-source groups.
+        map to ``None`` instead of raising.  Results bypass the cache.
         ``timeout_s`` bounds the whole shared run, pool wait included.
         """
         host = self._host(graph)

@@ -1,20 +1,37 @@
-"""Tests for the generic FEM framework and its non-shortest-path uses."""
+"""Section 3.1's FEM generality: Prim's MST and reachability.
 
+Prim is the SQL F/E/M loop of ``examples/fem_generality.py``; reachability
+is the service's ``kind="reachability"`` on the ``REPRO_TEST_BACKEND``
+backend.  The last test keeps every loop in ``repro.core`` on
+``GraphStore``: only minidb's store may import the mini engine.
+"""
+
+import ast
 import heapq
+import importlib.util
+from pathlib import Path
 
 import pytest
 
-from repro.core.fem import FEMRunStats, FEMSearch, FEMSpec
-from repro.core.prim import prim_mst_fem
-from repro.core.reachability import is_reachable_fem, reachable_set_fem
+import repro
+from repro import PathService
 from repro.errors import InvalidQueryError
 from repro.graph.generators import grid_graph, power_law_graph, random_graph
 from repro.graph.model import Graph
 from repro.graph.stats import reachable_set_size
-from repro.rdb.engine import Database
-from repro.rdb.merge import merge_into
-from repro.rdb.schema import Column
-from repro.rdb.types import INTEGER
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_example():
+    path = ROOT / "examples" / "fem_generality.py"
+    spec = importlib.util.spec_from_file_location("fem_generality", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+example = _load_example()
 
 
 def reference_prim_weight(graph: Graph, root: int) -> float:
@@ -38,77 +55,31 @@ def reference_prim_weight(graph: Graph, root: int) -> float:
     return total
 
 
-class TestFEMFramework:
-    def test_requires_initial_rows(self):
-        db = Database()
-        table = db.create_table("V", [Column("nid", INTEGER), Column("f", INTEGER)])
-        spec = FEMSpec(
-            name="empty",
-            initialize=lambda: [],
-            select_frontier=lambda table, k: [],
-            expand=lambda frontier, k: [],
-            merge=lambda table, rows, k: merge_into(table, rows, "nid", "nid"),
-        )
-        with pytest.raises(InvalidQueryError):
-            FEMSearch(table, spec).run()
-        db.close()
-
-    def test_simple_counting_search(self):
-        """A FEM loop that visits the integers 0..4 one hop at a time."""
-        db = Database()
-        table = db.create_table("V", [Column("nid", INTEGER), Column("f", INTEGER)])
-        table.create_index("nid", unique=True)
-
-        def select(table, _k):
-            frontier = [row for row in table.scan() if row["f"] == 0]
-            table.update_where(lambda row: row["f"] == 0, lambda row: {"f": 1})
-            return frontier
-
-        def expand(frontier, _k):
-            return [{"nid": row["nid"] + 1, "f": 0}
-                    for row in frontier if row["nid"] < 4]
-
-        spec = FEMSpec(
-            name="count",
-            initialize=lambda: [{"nid": 0, "f": 0}],
-            select_frontier=select,
-            expand=expand,
-            merge=lambda table, rows, _k: merge_into(
-                table, rows, "nid", "nid",
-                not_matched_insert=lambda source: dict(source),
-            ),
-            max_iterations=10,
-        )
-        search = FEMSearch(table, spec)
-        stats = search.run()
-        assert isinstance(stats, FEMRunStats)
-        assert {row["nid"] for row in search.visited_rows()} == {0, 1, 2, 3, 4}
-        assert stats.iterations >= 5
-        db.close()
+def _weight(tree):
+    return sum(weight for _parent, _child, weight in tree)
 
 
 class TestPrimViaFEM:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_reference_prim_on_grids(self, seed):
         graph = grid_graph(4, 4, seed=seed)
-        result = prim_mst_fem(graph, root=0)
-        assert result.total_weight == pytest.approx(reference_prim_weight(graph, 0))
-        assert len(result.edges) == graph.num_nodes - 1
+        tree = example.prim_mst_sql(graph, root=0)
+        assert _weight(tree) == pytest.approx(reference_prim_weight(graph, 0))
+        assert len(tree) == graph.num_nodes - 1
 
     def test_matches_reference_on_power_graph(self):
         graph = power_law_graph(60, edges_per_node=2, seed=5)
-        result = prim_mst_fem(graph, root=0)
-        assert result.total_weight == pytest.approx(reference_prim_weight(graph, 0))
+        tree = example.prim_mst_sql(graph, root=0)
+        assert _weight(tree) == pytest.approx(reference_prim_weight(graph, 0))
 
     def test_tree_edges_exist_in_graph(self):
         graph = grid_graph(3, 3, seed=7)
-        result = prim_mst_fem(graph, root=0)
-        for parent, child, weight in result.edges:
-            assert graph.edge_cost(parent, child) is not None
+        for parent, child, weight in example.prim_mst_sql(graph, root=0):
+            assert graph.edge_cost(parent, child) == weight
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InvalidQueryError):
-            prim_mst_fem(Graph())
+            example.prim_mst_sql(Graph())
 
     def test_disconnected_graph_rejected(self):
         graph = Graph()
@@ -117,27 +88,72 @@ class TestPrimViaFEM:
         graph.add_edge(5, 6, 1.0)
         graph.add_edge(6, 5, 1.0)
         with pytest.raises(InvalidQueryError):
-            prim_mst_fem(graph, root=0)
+            example.prim_mst_sql(graph, root=0)
+
+
+@pytest.fixture
+def serve(test_backend):
+    """Host a graph as ``"g"`` on the selected backend; yield the service."""
+    services = []
+
+    def host(graph):
+        service = PathService(default_backend=test_backend.name)
+        services.append(service)
+        service.add_graph("g", graph, backend=test_backend.name,
+                          db_path=test_backend.make_path())
+        return service
+
+    yield host
+    for service in services:
+        service.close()
 
 
 class TestReachabilityViaFEM:
-    def test_matches_bfs_reachability(self):
+    def test_matches_bfs_reachability(self, serve):
         graph = random_graph(80, avg_degree=1.5, seed=4)
-        source = 0
-        expected_size = reachable_set_size(graph, source)
-        reached = reachable_set_fem(graph, source)
-        assert len(reached) == expected_size
+        service = serve(graph)
+        reached = [node for node in graph.nodes()
+                   if example.is_reachable(service, 0, node, graph="g")]
+        assert len(reached) == reachable_set_size(graph, 0)
 
-    def test_is_reachable(self):
+    def test_is_reachable(self, serve):
         graph = Graph()
         graph.add_edge(0, 1, 1.0)
         graph.add_edge(1, 2, 1.0)
         graph.add_node(9)
-        assert is_reachable_fem(graph, 0, 2)
-        assert not is_reachable_fem(graph, 0, 9)
+        service = serve(graph)
+        assert example.is_reachable(service, 0, 2, graph="g")
+        assert not example.is_reachable(service, 0, 9, graph="g")
 
-    def test_directed_reachability(self):
+    def test_directed_reachability(self, serve):
         graph = Graph()
         graph.add_edge(0, 1, 1.0)
-        assert is_reachable_fem(graph, 0, 1)
-        assert not is_reachable_fem(graph, 1, 0)
+        service = serve(graph)
+        assert example.is_reachable(service, 0, 1, graph="g")
+        assert not example.is_reachable(service, 1, 0, graph="g")
+
+
+def _imported_modules(tree: ast.Module):
+    """The module names an AST imports, ``from a import b`` as ``a.b``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_only_minidb_imports_the_mini_engine():
+    """Every FEM loop speaks ``GraphStore``: ``repro.rdb`` is imported
+    only by minidb's store, the ``repro.Database`` export and itself."""
+    src = Path(repro.__file__).resolve().parent
+    allowed = {"core/store/minidb.py", "__init__.py"}
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        relative = path.relative_to(src).as_posix()
+        if relative in allowed or relative.startswith("rdb/"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(name == "repro.rdb" or name.startswith("repro.rdb.")
+               for name in _imported_modules(tree)):
+            offenders.append(relative)
+    assert offenders == []

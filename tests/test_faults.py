@@ -246,6 +246,12 @@ def _garbage_server(frames):
 
     def closer():
         done.set()
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the join below returns at once.
+        try:
+            listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         listener.close()
         thread.join(timeout=5.0)
 
