@@ -220,10 +220,13 @@ def phase_breakdown(graph: Graph, method: str = "BSDJ",
 
 def operator_breakdown(graph: Graph, method: str = "BSDJ",
                        num_queries: Optional[int] = None,
-                       seed: int = 0) -> Dict[str, float]:
-    """Average per-operator time (F / E / M) for ``method``."""
+                       seed: int = 0,
+                       sql_style: str = NSQL) -> Dict[str, float]:
+    """Average per-operator time (F / E / M) for ``method`` under
+    ``sql_style``.  A store that issues E and M as one statement (the SQL
+    stores' nsql upsert) times it all as E and reports no M."""
     aggregates = method_comparison(graph, [method], num_queries=num_queries,
-                                   seed=seed)
+                                   seed=seed, sql_style=sql_style)
     return aggregates[0].time_by_operator
 
 

@@ -1,14 +1,9 @@
-"""Shared-frontier FEM variants beyond single-pair shortest path.
+"""Set-at-a-time FEM variants beyond weighted shortest path.
 
 The paper's F/E/M operators compose into more than the Listing 2-4
-drivers (its Section 6 generality point).  This module adds the three
-workload kinds the service layer plans and serves:
+drivers (its Section 6 generality point).  This module adds the two
+hop-counting query kinds the service layer plans and serves:
 
-* :func:`dijkstra_one_to_many` — one DJ frontier expansion answering a
-  whole set of same-source targets.  Dijkstra's finalization sequence is
-  target-independent, so the shared run finalizes nodes in exactly the
-  order a per-pair DJ would; every answered pair is **bit-identical**
-  (distance *and* path) to running DJ on that pair alone.
 * :func:`hop_limited_search` — fewest-hops paths within a hop budget
   (``kind="bounded_hop"``): layered set-at-a-time BFS over the same
   TVisited relation, one :meth:`~repro.core.store.base.GraphStore.expand_hops`
@@ -27,8 +22,7 @@ path deterministic across backends and SQL styles.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, Iterable, List, Optional
+from typing import Optional
 
 from repro.core.deadline import check_deadline
 from repro.core.directions import FORWARD_DIRECTION, INFINITY
@@ -48,138 +42,6 @@ from repro.obs import span as _span
 
 METHOD_HOPS = "HOPS"
 METHOD_REACH = "REACH"
-
-
-class OneToManyResult:
-    """Results of one shared-frontier DJ run over a target set.
-
-    Attributes:
-        source: the shared source node.
-        results: target -> :class:`PathResult` (``None`` for targets the
-            expansion exhausted without finalizing — unreachable pairs).
-        stats: the run-level :class:`QueryStats` — one frontier
-            expansion's statements answered every target.
-    """
-
-    def __init__(self, source: int,
-                 results: Dict[int, Optional[PathResult]],
-                 stats: QueryStats) -> None:
-        self.source = source
-        self.results = results
-        self.stats = stats
-
-    def __getitem__(self, target: int) -> Optional[PathResult]:
-        return self.results[target]
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-
-def _per_target_stats(run_stats: QueryStats, distance: Optional[float],
-                      path_edges: int) -> QueryStats:
-    """A per-target view of the shared run's counters: the statements and
-    expansions were paid once for the whole group, so every member reports
-    them; only the outcome fields differ."""
-    stats = copy.copy(run_stats)
-    stats.time_by_phase = dict(run_stats.time_by_phase)
-    stats.time_by_operator = dict(run_stats.time_by_operator)
-    stats.found = distance is not None
-    stats.distance = distance
-    stats.path_edges = path_edges
-    return stats
-
-
-def dijkstra_one_to_many(store: GraphStore, source: int,
-                         targets: Iterable[int],
-                         sql_style: str = NSQL,
-                         max_iterations: Optional[int] = None,
-                         deadline: Optional[float] = None
-                         ) -> OneToManyResult:
-    """Answer every ``source -> target`` pair with ONE DJ frontier.
-
-    The loop is Listing 2/3's DJ verbatim, except termination: instead of
-    stopping at the first finalized target it keeps expanding until every
-    requested target is finalized (or the frontier is exhausted).  With
-    non-negative edge weights a finalized node's distance and predecessor
-    never change afterwards, so each pair's answer is bit-identical to a
-    per-pair DJ run — including tie-breaking, because the finalization
-    sequence is the same.
-
-    Args:
-        store: a loaded :class:`~repro.core.store.base.GraphStore`.
-        source: the shared source node id.
-        targets: the target node ids (duplicates collapse).
-        sql_style: ``"nsql"`` or ``"tsql"``.
-        max_iterations: optional safety cap on expansions; targets not
-            finalized when the cap hits are reported unreachable.
-        deadline: optional absolute monotonic deadline checked between
-            expansions.
-
-    Returns:
-        An :class:`OneToManyResult`; unreachable targets map to ``None``.
-    """
-    wanted: List[int] = []
-    seen = set()
-    for target in targets:
-        if target not in seen:
-            seen.add(target)
-            wanted.append(target)
-    stats = QueryStats(method="DJ", sql_style=validate_sql_style(sql_style))
-    store.begin_query(stats, stats.sql_style)
-    start_time = _now()
-    forward = FORWARD_DIRECTION
-
-    with stats.phase(PHASE_PATH_EXPANSION):
-        store.reset_visited()
-        store.insert_visited([{"nid": source, "d2s": 0.0, "p2s": source,
-                               "f": 0}])
-
-    remaining = {target for target in wanted if target != source}
-    while remaining:
-        if max_iterations is not None and stats.expansions >= max_iterations:
-            break
-        check_deadline(deadline, f"DJ iteration {stats.expansions + 1}")
-        with _span("fem.iteration", index=stats.expansions + 1,
-                   frontier=1) as iteration:
-            statements_before = stats.statements
-            with stats.phase(PHASE_STATISTICS):
-                mid = store.top1_min_unfinalized(forward)
-            if mid is None:
-                iteration.tag(statements=stats.statements - statements_before)
-                break
-            with stats.phase(PHASE_PATH_EXPANSION):
-                store.expand(forward, mid=mid)
-                stats.record_expansion(forward=True)
-                store.finalize_node(mid, forward)
-            iteration.tag(statements=stats.statements - statements_before)
-        remaining.discard(mid)
-
-    stats.visited_nodes = store.visited_count()
-    results: Dict[int, Optional[PathResult]] = {}
-    for target in wanted:
-        if target == source:
-            results[target] = PathResult(
-                source, target, 0.0, [source],
-                _per_target_stats(stats, 0.0, 0))
-            continue
-        if target in remaining:
-            results[target] = None
-            continue
-        with stats.phase(PHASE_STATISTICS):
-            distance = store.get_distance(target, forward)
-        with stats.phase(PHASE_PATH_RECOVERY):
-            path = recover_forward_path(store, source, target)
-        results[target] = PathResult(
-            source, target, float(distance), path,
-            _per_target_stats(stats, float(distance), len(path) - 1))
-    stats.found = any(result is not None for result in results.values())
-    stats.total_time = _now() - start_time
-    # Outcome fields on the run stats describe the group as a whole; the
-    # per-target copies above carry the pair-specific values.
-    for result in results.values():
-        if result is not None and result.stats is not None:
-            result.stats.total_time = stats.total_time
-    return OneToManyResult(source, results, stats)
 
 
 def hop_limited_search(store: GraphStore, source: int, target: int,
@@ -288,7 +150,5 @@ def hop_limited_search(store: GraphStore, source: int, target: int,
 __all__ = [
     "METHOD_HOPS",
     "METHOD_REACH",
-    "OneToManyResult",
-    "dijkstra_one_to_many",
     "hop_limited_search",
 ]

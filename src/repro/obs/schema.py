@@ -44,7 +44,6 @@ METRIC_CACHE_NEGATIVE_HITS = "repro_cache_negative_hits_total"  # counter {cache
 METRIC_CACHE_EVICTIONS = "repro_cache_evictions_total"    # counter {cache,reason}
 METRIC_CACHE_SIZE = "repro_cache_size"                    # gauge {cache}
 METRIC_CACHE_NEGATIVE_SIZE = "repro_cache_negative_size"  # gauge {cache}
-METRIC_CACHE_MEMORY = "repro_cache_memory_bytes"          # gauge {cache}
 
 # -- store pool --------------------------------------------------------
 METRIC_POOL_CHECKOUTS = "repro_pool_checkouts_total"      # counter {graph}

@@ -288,8 +288,7 @@ class ShardClient:
         return [protocol.plan_from_dict(plan) for plan in plans]
 
     def execute(self, specs: Sequence[QuerySpec], *,
-                concurrency: int = 1,
-                checkout_timeout: Optional[float] = None
+                concurrency: int = 1
                 ) -> Tuple[List[Optional[PathResult]], List[bool],
                            BatchStats, List[Optional[ReproError]]]:
         """Execute a batch slice; returns (results, from_cache, stats,
@@ -303,7 +302,6 @@ class ShardClient:
         data = self._request("/execute", {
             "specs": protocol.specs_to_list(specs),
             "concurrency": concurrency,
-            "checkout_timeout": checkout_timeout,
         })
         raw_results = data.get("results")
         raw_cached = data.get("from_cache")

@@ -343,11 +343,9 @@ class _ShardRequestHandler(BaseHTTPRequestHandler):
     def _handle_execute(self) -> Dict[str, object]:
         body = self._read_body()
         specs = protocol.specs_from_list(body.get("specs", []))
-        timeout = body.get("checkout_timeout")
         batch = execute_batch(
-            self._service, specs, raise_on_unreachable=False,
-            concurrency=int(body.get("concurrency", 1)),
-            checkout_timeout=None if timeout is None else float(timeout))
+            self._service, specs,
+            concurrency=int(body.get("concurrency", 1)))
         return {
             "results": protocol.results_to_list(batch.results),
             "from_cache": list(batch.from_cache),

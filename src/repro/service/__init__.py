@@ -27,8 +27,8 @@ and the relational engine underneath:
   grouped before anything runs so the first occurrence executes and the
   rest replay it, and results and counters stay identical to serial;
 * the shared :class:`ResultCache` also stores **negative verdicts**
-  (repeated unreachable pairs skip the full search) and evicts by TTL
-  and approximate memory footprint on top of the LRU entry bound;
+  (repeated unreachable pairs skip the full search), each side an LRU
+  bounded by the cache's capacity;
 * a service bound to a **persistent catalog**
   (``PathService(catalog_path=...)`` / :meth:`PathService.open`) records
   every ``db_path``-backed graph and SegTable it builds, and reattaches
@@ -48,11 +48,7 @@ from repro.core.store.registry import (
     unregister_backend,
 )
 from repro.service.batch import BatchResult, execute_batch, normalize_queries
-from repro.service.cache import (
-    CacheStats,
-    ResultCache,
-    estimate_result_bytes,
-)
+from repro.service.cache import CacheStats, ResultCache
 from repro.service.calibrate import calibrate_profile
 from repro.service.costmodel import (
     CostEstimate,
@@ -97,7 +93,6 @@ __all__ = [
     "calibrate_profile",
     "create_store",
     "default_profile",
-    "estimate_result_bytes",
     "execute_batch",
     "normalize_queries",
     "plan_query",

@@ -121,8 +121,8 @@ class AnswerPath:
 
         ``replay`` stands in only where no cache key does: with a key, the
         cache remembers the first occurrence's outcome, and one it has
-        dropped since (evicted, or an unreachable verdict with no negative
-        cache) runs again, exactly as it would in a serial batch.
+        evicted since — a result or an unreachable verdict — runs again,
+        exactly as it would in a serial batch.
 
         Returns ``(result, replayed)``: ``replayed`` is ``True`` when the
         answer came from the cache or from ``replay`` rather than from

@@ -40,8 +40,8 @@ class BatchResult:
     Attributes:
         specs: the normalized query specs, in input order.
         results: one entry per spec, aligned with the input order;
-            ``None`` marks an unreachable pair (when the batch was run with
-            ``raise_on_unreachable=False``).
+            ``None`` marks an unreachable pair (counted in
+            ``stats.not_found``).
         from_cache: one flag per spec — ``True`` when that answer was
             replayed from the result cache rather than executed here.
         errors: one entry per spec, aligned with the input order; a
@@ -133,9 +133,7 @@ def normalize_queries(queries: Sequence["BatchQuery"], graph: str,
 def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
                   graph: str = "default", method: str = "auto",
                   sql_style: str = NSQL,
-                  raise_on_unreachable: bool = False,
                   concurrency: int = 1,
-                  checkout_timeout: Optional[float] = None,
                   plans: Optional[Sequence["QueryPlan"]] = None,
                   timeout_s: Optional[float] = None
                   ) -> BatchResult:
@@ -149,7 +147,8 @@ def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
     growing each graph's store pool on demand.  Either way a repeated
     query is answered by the service's shared LRU cache or by replaying
     its first occurrence instead of running again, and ``results[i]``
-    always answers ``queries[i]``.
+    always answers ``queries[i]`` — ``None`` for an unreachable pair,
+    which counts in ``stats.not_found``.
 
     Args:
         service: the hosting :class:`PathService`.
@@ -157,14 +156,7 @@ def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
         graph: default graph for queries that do not name one.
         method: default method for queries that do not name one.
         sql_style: default SQL style.
-        raise_on_unreachable: propagate :class:`PathNotFoundError` instead
-            of recording a ``None`` result.  (A serial batch stops at the
-            first unreachable pair; a parallel batch finishes its workers,
-            then raises the unreachable failure with the smallest input
-            index.)
         concurrency: worker-thread count (``1`` = inline, no threads).
-        checkout_timeout: per-query bound, in seconds, on waiting for a
-            pooled store connection.
         plans: pre-computed :class:`QueryPlan` objects, one per
             normalized query in order (``plans[i]`` must plan
             ``queries[i]``).  The shard router passes the plans from its
@@ -214,8 +206,7 @@ def execute_batch(service: "PathService", queries: Sequence["BatchQuery"],
             batch.stats.per_method.get(plan.method, 0) + 1
         )
 
-    Executor(service, concurrency, checkout_timeout=checkout_timeout).run(
-        plans, batch, raise_on_unreachable=raise_on_unreachable)
+    Executor(service, concurrency).run(plans, batch)
 
     batch.stats.evictions = (service.cache_info().evictions
                              - evictions_before)

@@ -54,30 +54,25 @@ class Executor:
         concurrency: worker-thread count (``1`` = inline, no threads);
             each graph's pool is grown (up to its backend's capability)
             to match before execution starts.
-        checkout_timeout: per-query bound, in seconds, on waiting for a
-            pooled store (``None`` waits indefinitely); exceeding it raises
-            :class:`~repro.errors.PoolTimeoutError` out of the batch.
     """
 
-    def __init__(self, service: "PathService", concurrency: int,
-                 checkout_timeout: Optional[float] = None) -> None:
+    def __init__(self, service: "PathService", concurrency: int) -> None:
         if concurrency < 1:
             raise ValueError("executor concurrency must be at least 1")
         self._service = service
         self._concurrency = concurrency
-        self._checkout_timeout = checkout_timeout
         self._errors: Dict[int, BaseException] = {}
 
-    def run(self, plans: Sequence[QueryPlan], batch: "BatchResult",
-            raise_on_unreachable: bool = False) -> None:
+    def run(self, plans: Sequence[QueryPlan], batch: "BatchResult") -> None:
         """Answer ``plans`` and fill ``batch`` in place (results,
         ``from_cache`` flags, errors and stats counters).
 
-        The first failure *by input position* is re-raised once the batch
-        is done.  Inline, the batch stops before the first group that
-        starts after that failure; worker threads all finish first.
+        An unreachable member leaves ``None`` in its slot and counts in
+        ``not_found``; an expired one records its error positionally.  Any
+        other failure — the first *by input position* — is re-raised once
+        the batch is done.  Inline, the batch stops before the first group
+        that starts after that failure; worker threads all finish first.
         """
-        self._raise_on_unreachable = raise_on_unreachable
         groups = self._groups(plans)
         workers = min(self._concurrency, len(groups))
         if workers > 1:
@@ -133,12 +128,9 @@ class Executor:
         :meth:`run`)."""
         try:
             result, replayed = self._service._answer(
-                plan, stats=batch.stats, replay=replay,
-                checkout_timeout=self._checkout_timeout)
+                plan, stats=batch.stats, replay=replay)
         except PathNotFoundError as exc:
             batch.stats.add(not_found=1)
-            if self._raise_on_unreachable:
-                self._errors[index] = exc
             return exc
         except DeadlineExceededError as exc:
             # The expired query reports at its own position; its siblings

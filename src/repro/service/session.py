@@ -54,8 +54,6 @@ from repro.core.deadline import (
 from repro.core.multi import (
     METHOD_HOPS,
     METHOD_REACH,
-    OneToManyResult,
-    dijkstra_one_to_many,
     hop_limited_search,
 )
 from repro.core.path import PathResult
@@ -120,24 +118,20 @@ BatchQuery = Union[QuerySpec, Tuple[int, int], Tuple[str, int, int],
 
 
 @contextmanager
-def _leased(pool: StorePool, checkout_timeout: Optional[float],
-            deadline: Optional[float]) -> Iterator[_Lease]:
+def _leased(pool: StorePool, deadline: Optional[float]) -> Iterator[_Lease]:
     """Hold one pooled store for a run; yields the entered lease
     (``.store``, ``.queue_seconds``).
 
-    The checkout wait is bounded by the query's remaining budget, so a
-    budgeted query never sits in the queue past its deadline: an
-    already-expired budget raises before touching the pool, and a
-    checkout timeout the budget caused surfaces as the
-    :class:`DeadlineExceededError` it is, like every other expiry site.
+    The checkout wait is bounded by the query's remaining budget (an
+    unbudgeted query waits as long as it takes), so a budgeted query
+    never sits in the queue past its deadline: an already-expired budget
+    raises before touching the pool, and a checkout timeout the budget
+    caused surfaces as the :class:`DeadlineExceededError` it is, like
+    every other expiry site.
     """
     if deadline is not None:
         check_deadline(deadline, "store checkout")
-        budget = remaining_budget(deadline)
-        assert budget is not None
-        checkout_timeout = (budget if checkout_timeout is None
-                            else min(checkout_timeout, budget))
-    lease = pool.lease(checkout_timeout)
+    lease = pool.lease(remaining_budget(deadline))
     try:
         lease.__enter__()
     except PoolTimeoutError:
@@ -220,15 +214,9 @@ class PathService:
     Args:
         default_backend: registry name used when :meth:`add_graph` does not
             specify one.
-        cache_size: capacity of the shared LRU result cache (``0`` disables
+        cache_size: capacity of the shared LRU result cache, and
+            separately of its unreachable-pair verdict LRU (``0`` disables
             result caching entirely, negative caching included).
-        cache_ttl: optional seconds after which cached results (positive
-            and negative) expire.
-        cache_max_bytes: optional approximate memory bound for the result
-            cache; the LRU tail is evicted until the estimate fits.
-        negative_cache_size: capacity of the unreachable-pair verdict cache
-            (``0`` disables negative caching; repeated misses then re-run
-            the full search every time).
         catalog_path: optional persistent-catalog directory.  When bound,
             every ``db_path``-backed graph added to (and every SegTable
             built by) this service is recorded durably, and
@@ -245,9 +233,6 @@ class PathService:
 
     def __init__(self, default_backend: str = "minidb",
                  cache_size: int = 1024, *,
-                 cache_ttl: Optional[float] = None,
-                 cache_max_bytes: Optional[int] = None,
-                 negative_cache_size: int = 1024,
                  catalog_path: Optional[str] = None,
                  shard_id: Optional[str] = None,
                  registry: Optional[MetricsRegistry] = None,
@@ -257,10 +242,7 @@ class PathService:
         self._hosts: Dict[str, _GraphHost] = {}
         self._registry = registry if registry is not None else MetricsRegistry()
         self._tracer = Tracer(enabled=tracing)
-        self._cache = ResultCache(cache_size, ttl_seconds=cache_ttl,
-                                  max_bytes=cache_max_bytes,
-                                  negative_capacity=negative_cache_size,
-                                  registry=self._registry,
+        self._cache = ResultCache(cache_size, registry=self._registry,
                                   name=shard_id or "local")
         self._answers = AnswerPath(self._cache, self._registry)
         self._catalog: Optional["Catalog"] = None
@@ -309,7 +291,7 @@ class PathService:
             graph_name: name the ``dsn``-adopted graph is hosted under.
             concurrency: store-pool capacity for the adopted graph.
             **kwargs: forwarded to the constructor (``default_backend``,
-                cache knobs, ...).
+                ``cache_size``, ...).
 
         Raises:
             PersistentCatalogError: a manifest problem, or — in strict
@@ -664,8 +646,7 @@ class PathService:
     def build_segtable(self, graph: str = DEFAULT_GRAPH, *,
                        lthd: Union[float, str],
                        sql_style: str = NSQL,
-                       index_mode: Optional[str] = None,
-                       force: bool = False) -> SegTableBuildStats:
+                       index_mode: Optional[str] = None) -> SegTableBuildStats:
         """Build the SegTable index for a hosted graph, memoized.
 
         ``lthd="auto"`` picks the threshold with the cost model: predicted
@@ -673,13 +654,13 @@ class PathService:
         (see :meth:`recommend_lthd` for the per-candidate predictions).
 
         Rebuilding with the same parameters returns the previous
-        :class:`SegTableBuildStats` without touching the store; pass
-        ``force=True`` (or different parameters) to rebuild.  The memo key
-        is ``(graph name, lthd, sql_style, index_mode)`` and lives on the
-        graph's host, whose graph is frozen: a graph dropped and
-        re-registered under a reused name (or reattached from a catalog)
-        gets a new host with no memo, so it can never be served a stale
-        table, and no build hashes the graph to find that out.
+        :class:`SegTableBuildStats` without touching the store; different
+        parameters rebuild.  The memo key is ``(graph name, lthd,
+        sql_style, index_mode)`` and lives on the graph's host, whose
+        graph is frozen: a graph dropped and re-registered under a reused
+        name (or reattached from a catalog) gets a new host with no memo,
+        so it can never be served a stale table, and no build hashes the
+        graph to find that out.
 
         On a catalog-bound service the finished build is persisted:
         metadata and construction statistics go into the graph's manifest
@@ -696,7 +677,7 @@ class PathService:
         validate_sql_style(sql_style)
         mode = IndexMode.validate(index_mode or host.index_mode)
         key = self._segtable_memo_key(host, lthd, sql_style, mode)
-        if not force and host._segtable_key == key:
+        if host._segtable_key == key:
             assert host.segtable_stats is not None
             return host.segtable_stats
         assert host.pool is not None
@@ -928,47 +909,10 @@ class PathService:
         result, _ = self._answer(spec, use_cache=use_cache)
         return result
 
-    def one_to_many(self, source: int, targets: Sequence[int],
-                    graph: str = DEFAULT_GRAPH, sql_style: str = NSQL,
-                    max_iterations: Optional[int] = None,
-                    checkout_timeout: Optional[float] = None,
-                    timeout_s: Optional[float] = None
-                    ) -> OneToManyResult:
-        """Answer every ``source -> target`` pair with ONE shared DJ
-        frontier expansion (see
-        :func:`repro.core.multi.dijkstra_one_to_many`): the public
-        one-source, many-target query.
-
-        Each answered pair is bit-identical — distance *and* path — to
-        running the pair alone with ``method="DJ"``; unreachable targets
-        map to ``None`` instead of raising.  Results bypass the cache.
-        ``timeout_s`` bounds the whole shared run, pool wait included.
-        """
-        host = self._host(graph)
-        validate_sql_style(sql_style)
-        if not host.graph.has_node(source):
-            raise NodeNotFoundError(
-                f"node {source} is not in graph {host.name!r}"
-            )
-        for target in targets:
-            if not host.graph.has_node(target):
-                raise NodeNotFoundError(
-                    f"node {target} is not in graph {host.name!r}"
-                )
-        assert host.pool is not None
-        deadline = deadline_from_timeout(timeout_s)
-        with _leased(host.pool, checkout_timeout, deadline) as lease:
-            return dijkstra_one_to_many(lease.store, source, list(targets),
-                                        sql_style=sql_style,
-                                        max_iterations=max_iterations,
-                                        deadline=deadline)
-
     def shortest_path_many(self, queries: Sequence[BatchQuery],
                            graph: str = DEFAULT_GRAPH, method: str = "auto",
                            sql_style: str = NSQL,
-                           raise_on_unreachable: bool = False,
                            concurrency: int = 1,
-                           checkout_timeout: Optional[float] = None,
                            timeout_s: Optional[float] = None):
         """Answer a batch of queries; see
         :func:`repro.service.batch.execute_batch` for the full contract.
@@ -989,10 +933,7 @@ class PathService:
         """
         from repro.service.batch import execute_batch
         return execute_batch(self, queries, graph=graph, method=method,
-                             sql_style=sql_style,
-                             raise_on_unreachable=raise_on_unreachable,
-                             concurrency=concurrency,
-                             checkout_timeout=checkout_timeout,
+                             sql_style=sql_style, concurrency=concurrency,
                              timeout_s=timeout_s)
 
     # -- cache -------------------------------------------------------------------
@@ -1084,8 +1025,7 @@ class PathService:
     def _answer(self, plan: Union[QueryPlan, QuerySpec], *,
                 use_cache: bool = True,
                 stats: Optional[BatchStats] = None,
-                replay: Optional[Outcome] = None,
-                checkout_timeout: Optional[float] = None
+                replay: Optional[Outcome] = None
                 ) -> Tuple[PathResult, bool]:
         """Answer one planned query — the only code that does, for single
         queries, ``explain(analyze=True)`` and every batch member alike —
@@ -1122,8 +1062,7 @@ class PathService:
 
             def run() -> PathResult:
                 try:
-                    result, queued, ran = self._run_timed(plan,
-                                                          checkout_timeout)
+                    result, queued, ran = self._run_timed(plan)
                 except BaseException as exc:
                     if isinstance(exc, DeadlineExceededError):
                         self._registry.counter(
@@ -1147,9 +1086,7 @@ class PathService:
                 result.trace = query_span.trace
         return result, replayed
 
-    def _run_timed(self, plan: QueryPlan,
-                   checkout_timeout: Optional[float] = None
-                   ) -> Tuple[PathResult, float, float]:
+    def _run_timed(self, plan: QueryPlan) -> Tuple[PathResult, float, float]:
         """Run a planned query against a pooled store connection.
 
         Returns ``(result, queue_seconds, execute_seconds)`` — how long the
@@ -1175,7 +1112,7 @@ class PathService:
         assert host.pool is not None
         with obs_span("execute", method=plan.method,
                       sql_style=spec.sql_style) as exec_span:
-            with _leased(host.pool, checkout_timeout, deadline) as lease:
+            with _leased(host.pool, deadline) as lease:
                 queued = lease.queue_seconds
                 record_span("pool.checkout", queued, graph=spec.graph)
                 with timer() as ran:

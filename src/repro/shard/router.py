@@ -247,7 +247,6 @@ class ShardRouter:
     def __init__(self, transports: Sequence[ShardTransport],
                  table: RoutingTable, *,
                  shared_cache_size: int = 0,
-                 shared_cache_ttl: Optional[float] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracing: bool = True,
                  cooldown_seed: Optional[int] = None) -> None:
@@ -266,9 +265,7 @@ class ShardRouter:
         self._health_lock = threading.Lock()
         self._shared_cache: Optional[ResultCache] = (
             None if shared_cache_size <= 0 else ResultCache(
-                capacity=shared_cache_size, ttl_seconds=shared_cache_ttl,
-                negative_capacity=shared_cache_size,
-                registry=self._registry, name="shared"))
+                shared_cache_size, registry=self._registry, name="shared"))
         # The service's answer path over the shared cache: "run" means
         # route to a shard (with failover).
         self._answers = AnswerPath(self._shared_cache, self._registry,
@@ -288,9 +285,7 @@ class ShardRouter:
              specs: Optional[Sequence[ShardSpec]] = None,
              names: Optional[Sequence[str]] = None,
              strict: bool = True,
-             stamp_ownership: bool = True,
              shared_cache_size: int = 0,
-             shared_cache_ttl: Optional[float] = None,
              remote_timeout: Optional[float] = None,
              remote_retries: Optional[int] = None,
              registry: Optional[MetricsRegistry] = None,
@@ -314,15 +309,10 @@ class ShardRouter:
                 skips entries that fail to attach instead of raising.
                 (Remote shards made that choice when their server
                 started.)
-            stamp_ownership: write each owned entry's shard name into its
-                manifest (the durable ownership record).  Stamping is
-                skipped when the record already matches.
             shared_cache_size: capacity of the opt-in router-level result
                 cache shared across shards, keyed by graph *fingerprint*
                 so replicas share entries; ``0`` (the default) disables
                 it.
-            shared_cache_ttl: optional TTL, in seconds, for shared-cache
-                entries.
             remote_timeout: per-request timeout, in seconds, applied to
                 every URL shard (a slow shard exceeding it fails over).
             remote_retries: transport-level retries applied to every URL
@@ -338,7 +328,7 @@ class ShardRouter:
                 the failover schedule deterministic (tests, chaos bench);
                 ``None`` (the default) desynchronizes naturally.
             **service_options: forwarded to every *local* shard service
-                constructor (cache knobs, ``default_backend``, ...);
+                constructor (``cache_size``, ``default_backend``, ...);
                 remote shards configured their service at server start.
 
         Raises:
@@ -443,19 +433,14 @@ class ShardRouter:
             raise
         router = cls(transports, table,
                      shared_cache_size=shared_cache_size,
-                     shared_cache_ttl=shared_cache_ttl,
                      registry=registry, tracing=tracing,
                      cooldown_seed=cooldown_seed)
-        if stamp_ownership:
-            router._stamp_ownership()
-        return router
-
-    def _stamp_ownership(self) -> None:
-        """Record each route's owner in the owning shard's manifest (a
-        no-op per entry when the record is already correct)."""
-        for route in self._table.routes.values():
-            self._transports[route.shard].stamp_ownership(
+        # Record each route's owner in the owning shard's manifest (the
+        # durable ownership record; a no-op per entry when it matches).
+        for route in table.routes.values():
+            router._transports[route.shard].stamp_ownership(
                 route.graph, route.shard)
+        return router
 
     # -- topology ----------------------------------------------------------------
 
@@ -758,9 +743,7 @@ class ShardRouter:
     def shortest_path_many(self, queries: Sequence["BatchQuery"],
                            graph: Optional[str] = None,
                            method: str = "auto", sql_style: str = NSQL,
-                           raise_on_unreachable: bool = False,
                            concurrency: int = 1,
-                           checkout_timeout: Optional[float] = None,
                            timeout_s: Optional[float] = None
                            ) -> ScatterResult:
         """Scatter a mixed-graph batch across shards and gather in order.
@@ -770,7 +753,8 @@ class ShardRouter:
         anything), split by graph, and each graph's slice runs as one
         batch call on its owning shard's transport — concurrently across
         slices, and with ``concurrency=N`` worker threads *inside* each
-        shard on top.  ``results[i]`` always answers ``queries[i]``.
+        shard on top.  ``results[i]`` always answers ``queries[i]``;
+        an unreachable pair leaves ``None`` there.
 
         Each slice's plan and execute calls go through the same failover
         loop as a single query: a shard failing at the transport level
@@ -784,13 +768,8 @@ class ShardRouter:
                 :func:`~repro.service.batch.normalize_queries` accepts.
             graph: default graph for queries that do not name one.
             method / sql_style: batch-level defaults, as in the service.
-            raise_on_unreachable: after the gather, raise
-                :class:`PathNotFoundError` for the unreachable pair with
-                the smallest input index instead of recording ``None``.
             concurrency: per-shard worker-thread count (``1`` = each shard
                 executes its slice serially).
-            checkout_timeout: per-query bound on waiting for a pooled
-                store connection inside each shard.
             timeout_s: default per-query time budget applied to every
                 query that does not already carry its own
                 (``QuerySpec.timeout_s`` wins).  A query whose budget
@@ -805,8 +784,6 @@ class ShardRouter:
             ShardUnavailableError: some graph's entire replica set is
                 unreachable (deterministically the failure holding the
                 smallest input index).
-            PathNotFoundError: with ``raise_on_unreachable=True``, the
-                deterministic first (by input index) unreachable pair.
         """
         elapsed = timer()  # .seconds reads live until the final assignment
         specs = normalize_queries(queries, graph=graph or DEFAULT_GRAPH,
@@ -873,7 +850,6 @@ class ShardRouter:
                     batch = self._transports[shard].execute_specs(
                         [specs[i] for i in indices],
                         concurrency=concurrency,
-                        checkout_timeout=checkout_timeout,
                         plans=[plans[i] for i in indices])
                 except BaseException as exc:
                     root.record("router.slice", took.seconds, shard=shard,
@@ -922,19 +898,6 @@ class ShardRouter:
 
         scatter.trace = root.trace
         stats.total_time = elapsed.seconds
-        if raise_on_unreachable:
-            for index, result in enumerate(scatter.results):
-                if result is None:
-                    if scatter.errors[index] is not None:
-                        # Not unreachable — unfinished (deadline expired);
-                        # the typed error stays positional.
-                        continue
-                    spec = specs[index]
-                    raise PathNotFoundError(
-                        f"no path from {spec.source} to {spec.target} in "
-                        f"graph {spec.graph!r} (batch index {index}, shard "
-                        f"{scatter.shard_of[index]!r})"
-                    )
         return scatter
 
     # -- rebalancing -------------------------------------------------------------

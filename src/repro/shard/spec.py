@@ -59,7 +59,7 @@ class ShardSpec:
             server's base URL (``http://host:port``) for a networked
             shard.  The address picks the transport (see :meth:`open`).
         service_options: extra keyword arguments for the shard service
-            (cache knobs, ``default_backend``, ...), applied by the
+            (``cache_size``, ``default_backend``, ...), applied by the
             transport when it opens the service.  The remote transport
             reads its client knobs (``timeout``, ``retries``) from here.
     """
@@ -156,7 +156,6 @@ class ShardTransport(ABC):
 
     def execute_specs(self, specs: Sequence["QuerySpec"], *,
                       concurrency: int = 1,
-                      checkout_timeout: Optional[float] = None,
                       plans: Optional[Sequence["QueryPlan"]] = None
                       ) -> "BatchResult":
         """Execute one scatter slice on this shard.
@@ -168,8 +167,7 @@ class ShardTransport(ABC):
         """
         from repro.service.batch import execute_batch
         return execute_batch(
-            self.service, list(specs), raise_on_unreachable=False,
-            concurrency=concurrency, checkout_timeout=checkout_timeout,
+            self.service, list(specs), concurrency=concurrency,
             plans=None if plans is None else list(plans))
 
     def health(self) -> Dict[str, object]:

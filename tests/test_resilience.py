@@ -124,8 +124,7 @@ def test_batch_sibling_expiry_is_positional(test_backend, tmp_path):
         batch = service.shortest_path_many(
             [("g", 0, 33),
              QuerySpec(source=0, target=21, graph="g", timeout_s=TINY),
-             ("g", 0, 40)],
-            raise_on_unreachable=False)
+             ("g", 0, 40)])
         assert batch.errors[0] is None and batch.errors[2] is None
         assert isinstance(batch.errors[1], DeadlineExceededError)
         assert batch.results[1] is None
@@ -137,13 +136,13 @@ def test_batch_default_timeout_applies_to_unbudgeted_specs(test_backend,
                                                            tmp_path):
     with _service(test_backend, tmp_path) as service:
         batch = service.shortest_path_many(
-            [("g", 0, 33), ("g", 0, 40)], raise_on_unreachable=False,
+            [("g", 0, 33), ("g", 0, 40)],
             timeout_s=TINY)
         assert all(isinstance(error, DeadlineExceededError)
                    for error in batch.errors)
         assert batch.stats.deadline_exceeded == 2
         generous = service.shortest_path_many(
-            [("g", 0, 33)], raise_on_unreachable=False, timeout_s=60.0)
+            [("g", 0, 33)], timeout_s=60.0)
         assert generous.errors == [None]
 
 
@@ -153,7 +152,7 @@ def test_explicit_spec_timeout_wins_over_batch_default(test_backend,
         batch = service.shortest_path_many(
             [QuerySpec(source=0, target=33, graph="g", timeout_s=60.0),
              ("g", 0, 40)],
-            raise_on_unreachable=False, timeout_s=TINY)
+            timeout_s=TINY)
         assert batch.errors[0] is None, "its own generous budget wins"
         assert isinstance(batch.errors[1], DeadlineExceededError)
 
@@ -402,8 +401,7 @@ def test_router_scatter_reports_positional_deadline_errors(tmp_path):
     with ShardRouter.open([catalog], names=["only"]) as router:
         scatter = router.shortest_path_many(
             [("g", 0, 33),
-             QuerySpec(source=0, target=21, graph="g", timeout_s=TINY)],
-            raise_on_unreachable=False)
+             QuerySpec(source=0, target=21, graph="g", timeout_s=TINY)])
         assert scatter.errors[0] is None
         assert isinstance(scatter.errors[1], DeadlineExceededError)
         assert scatter.results[0] is not None

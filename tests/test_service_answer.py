@@ -35,10 +35,9 @@ class _Runs:
         return _result(*self.outcome)
 
 
-def _path(cache_size=8, negative=8):
+def _path(cache_size=8):
     registry = MetricsRegistry()
-    cache = ResultCache(cache_size, negative_capacity=negative,
-                        registry=registry)
+    cache = ResultCache(cache_size, registry=registry)
     return AnswerPath(cache, registry), registry
 
 
@@ -91,7 +90,7 @@ class TestCacheFill:
 
     def test_hit_metric_counts_positive_and_negative_hits(self):
         registry = MetricsRegistry()
-        cache = ResultCache(8, negative_capacity=8, registry=registry)
+        cache = ResultCache(8, registry=registry)
         answers = AnswerPath(cache, registry, hit_metric="hits_total")
         answers.remember("k", _result())
         answers.remember_unreachable("u", "no path")
@@ -135,6 +134,17 @@ class TestSingleFlight:
             answers.answer(None, run, replay=leader.value)
         assert follower.value is leader.value
         assert run.calls == 1
+
+    def test_an_evicted_outcome_runs_despite_the_replay(self):
+        answers, registry = _path(cache_size=1)
+        run = _Runs(PathNotFoundError("no path"))
+        with pytest.raises(PathNotFoundError) as leader:
+            answers.answer("k", run)
+        answers.remember_unreachable("other", "no path")  # evicts "k"
+        with pytest.raises(PathNotFoundError):
+            answers.answer("k", run, replay=leader.value)
+        assert run.calls == 2
+        assert registry.total(METRIC_SINGLE_FLIGHT) == 0
 
     def test_the_cache_answers_before_the_replay(self):
         answers, registry = _path()

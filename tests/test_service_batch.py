@@ -55,8 +55,13 @@ class TestBatchBasics:
         graph.add_node(9)
         with PathService() as service:
             service.add_graph("default", graph)
+            # A batch records the unreachable pair; the single query
+            # raises for it.
+            batch = service.shortest_path_many([(0, 9)])
+            assert batch.results == [None]
+            assert batch.stats.not_found == 1
             with pytest.raises(PathNotFoundError):
-                service.shortest_path_many([(0, 9)], raise_on_unreachable=True)
+                service.shortest_path(0, 9)
 
     def test_mixed_methods_per_query(self, small_grid_graph):
         expected = dijkstra_shortest_path(small_grid_graph, 0, 24).distance
@@ -207,14 +212,20 @@ class TestBatchStatsAccounting:
 
     def test_unreachable_reruns_without_negative_cache(self):
         graph = path_graph(3)
+        graph.add_node(8)
         graph.add_node(9)
-        with PathService(negative_cache_size=0) as service:
+        with PathService(cache_size=1) as service:
             service.add_graph("default", graph)
+            service.shortest_path_many([(0, 9)])
+            # (0, 8)'s verdict evicts (0, 9)'s from the one-slot negative
+            # cache.
+            service.shortest_path_many([(0, 8)])
             batch = service.shortest_path_many([(0, 9), (0, 9)])
-            # Negative caching disabled: each repeat re-runs the search.
-            assert batch.stats.executed == 2
+            # The dropped verdict re-runs the search; its duplicate then
+            # answers from the cache.
+            assert batch.stats.executed == 1
             assert batch.stats.not_found == 2
-            assert batch.stats.negative_hits == 0
+            assert batch.stats.negative_hits == 1
 
     def test_dict_query_bad_fields_raise_invalid_query(self):
         with PathService() as service:

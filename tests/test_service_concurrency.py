@@ -225,15 +225,17 @@ class TestCapabilityClamp:
 
 
 class TestErrorPaths:
-    def test_raise_on_unreachable_parallel_raises_first_by_index(self):
+    def test_unreachable_parallel_member_stays_none(self):
         graph = path_graph(5, weight_range=(1, 1))
         graph.add_node(99)
         with PathService(cache_size=0) as service:
             service.add_graph("g", graph)
-            with pytest.raises(PathNotFoundError):
-                service.shortest_path_many([(0, 4), (0, 99), (1, 3)],
-                                           graph="g", concurrency=4,
-                                           raise_on_unreachable=True)
+            batch = service.shortest_path_many([(0, 4), (0, 99), (1, 3)],
+                                               graph="g", concurrency=4)
+            assert batch.results[1] is None
+            assert batch.results[0] is not None
+            assert batch.results[2] is not None
+            assert batch.stats.not_found == 1
 
     def test_pool_healthy_after_unreachable_failures(self):
         graph = path_graph(5, weight_range=(1, 1))

@@ -1,10 +1,10 @@
 """Tests for the richer query-kind surface: planner validation of
-``bounded_hop`` / ``reachability`` and the one-to-many shared-frontier
-Dijkstra — locally and over the serve wire protocol."""
+``bounded_hop`` / ``reachability`` and same-source fan-out batches —
+locally and over the serve wire protocol."""
 
 import pytest
 
-from repro.core.multi import METHOD_HOPS, METHOD_REACH, dijkstra_one_to_many
+from repro.core.multi import METHOD_HOPS, METHOD_REACH
 from repro.errors import InvalidQueryError, NodeNotFoundError
 from repro.graph.generators import power_law_graph
 from repro.serve import ShardClient, ShardServer
@@ -70,36 +70,36 @@ class TestKindPlanning:
 
 
 class TestOneToMany:
-    def test_matches_per_pair_dijkstra(self, service, small_power_graph):
+    """Same-source fan-out is a DJ batch: each pair's answer is
+    bit-identical to running that pair alone."""
+
+    def test_matches_per_pair_dijkstra(self, service):
         targets = [5, 40, 99, 40, 7]  # duplicate on purpose
-        fanout = service.one_to_many(0, targets)
-        assert len(fanout) == 4  # deduplicated
-        for target in set(targets):
+        batch = service.shortest_path_many([(0, t) for t in targets],
+                                           method="DJ")
+        assert batch.stats.executed == 4  # the duplicate is not re-run
+        for target, result in zip(targets, batch.results):
             single = service.shortest_path(0, target, method="DJ",
                                            use_cache=False)
-            assert _shape(fanout[target]) == _shape(single)
+            assert _shape(result) == _shape(single)
 
-    def test_unreachable_target_is_none(self, tmp_path):
+    def test_unreachable_target_is_none(self):
         graph = power_law_graph(40, edges_per_node=2, seed=3)
         graph.add_node(999)  # isolated
         with PathService() as service:
             service.add_graph("default", graph)
-            fanout = service.one_to_many(0, [5, 999])
-            assert fanout[5] is not None
-            assert fanout[999] is None
+            batch = service.shortest_path_many([(0, 5), (0, 999)],
+                                               method="DJ")
+            assert batch.results[0] is not None
+            assert batch.results[1] is None
+            assert batch.stats.not_found == 1
 
     def test_unknown_nodes_rejected(self, service):
         with pytest.raises(NodeNotFoundError):
-            service.one_to_many(123456, [0, 1])
+            service.shortest_path_many([(123456, 0), (123456, 1)],
+                                       method="DJ")
         with pytest.raises(NodeNotFoundError):
-            service.one_to_many(0, [1, 123456])
-
-    def test_core_driver_handles_source_as_target(self, service):
-        host = service._host("default")
-        with host.pool.lease() as store:
-            fanout = dijkstra_one_to_many(store, 0, [0, 5])
-        assert fanout[0].distance == 0.0
-        assert fanout[0].path == [0]
+            service.shortest_path_many([(0, 1), (0, 123456)], method="DJ")
 
 
 class TestKindsOverTheWire:

@@ -101,13 +101,6 @@ class TestSegTableMemoization:
             assert second is not first
             assert service.segtable_stats() is second
 
-    def test_force_rebuilds(self, small_grid_graph):
-        with PathService() as service:
-            service.add_graph("default", small_grid_graph)
-            first = service.build_segtable(lthd=5)
-            second = service.build_segtable(lthd=5, force=True)
-            assert second is not first
-
     def test_segtable_stats_none_until_built(self, small_grid_graph):
         with PathService() as service:
             service.add_graph("default", small_grid_graph)

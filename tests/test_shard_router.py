@@ -287,9 +287,11 @@ class TestRouterQueries:
             assert scatter.stats.not_found == 2
             assert scatter.distances()[1] is None
             assert len(scatter.found()) == 2
-            # raise_on_unreachable surfaces the smallest input index.
-            with pytest.raises(PathNotFoundError, match="batch index 1"):
-                router.shortest_path_many(queries, raise_on_unreachable=True)
+            # A re-run records the same pairs; a single query raises.
+            again = router.shortest_path_many(queries)
+            assert again.distances() == scatter.distances()
+            with pytest.raises(PathNotFoundError):
+                router.shortest_path(0, 10, graph="split")
 
     def test_malformed_queries_fail_before_any_work(self, two_shards):
         cat_a, cat_b, _ = two_shards

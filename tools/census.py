@@ -17,9 +17,10 @@ A population command is one of:
 Relative paths are resolved against the repository root, which is also
 where the commands run.  With no ``--run`` the default population is
 used: the four examples, every ``bench_fig*`` / ``bench_table*`` paper
-bench plus ``bench_backend_parity`` and ``bench_planner_auto``, and the
-ledger's ``cold_bsdj_minidb``, ``cold_bseg_sqlite`` and
-``segtable_build_sqlite`` workloads in a timed and a traced pass.  Set
+bench plus ``bench_backend_parity`` and ``bench_planner_auto``, and all
+five ledger workloads in a timed and a traced pass (``cold_bsdj_wire``
+and ``zipf_served_http`` are the ones that enter the router, client and
+wire code).  Set
 ``REPRO_BENCH_SCALE=0.2 REPRO_BENCH_QUERIES=2`` to keep the benches
 small; under tracing the default population takes about ten minutes, so
 the census is a tool, not a CI step.  Helper subprocesses a command
@@ -54,7 +55,8 @@ PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 LEDGER_WORKLOADS = ("cold_bsdj_minidb", "cold_bseg_sqlite",
-                    "segtable_build_sqlite")
+                    "segtable_build_sqlite", "cold_bsdj_wire",
+                    "zipf_served_http")
 
 
 def default_population() -> List[str]:
