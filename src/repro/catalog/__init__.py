@@ -19,9 +19,9 @@ catalog makes that state durable:
 * ``python -m repro.catalog`` (:mod:`repro.catalog.cli`) lists, inspects,
   rebuilds, and garbage-collects entries from a shell.
 
-Planner calibration is not cataloged: a probe prices the process that ran
-it (``docs/planner.md``).  See ``docs/catalog.md`` for the manifest format
-and invalidation rules.
+The planner keeps nothing to catalog: ``method="auto"`` is a rule over
+whether the graph's SegTable is built (``docs/planner.md``).  See
+``docs/catalog.md`` for the manifest format and invalidation rules.
 """
 
 from repro.catalog.catalog import Catalog

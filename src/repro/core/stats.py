@@ -52,11 +52,6 @@ class QueryStats:
     buffer_misses: int = 0
     io_reads: int = 0
     io_writes: int = 0
-    predicted_seconds: Optional[float] = None
-    """The planner cost model's prediction for this query (set by the
-    service on executed queries; ``None`` when the plan never consulted
-    the model).  Comparing it with ``total_time`` is how the feedback
-    loop — and the planner regret benchmark — measure mispricing."""
 
     def record_statement(self) -> None:
         """Count one SQL statement issued against the store."""
@@ -109,7 +104,6 @@ class QueryStats:
             "buffer_misses": self.buffer_misses,
             "io_reads": self.io_reads,
             "io_writes": self.io_writes,
-            "predicted_seconds": self.predicted_seconds,
         }
 
     @classmethod
@@ -136,8 +130,6 @@ class QueryStats:
         )
         distance = data.get("distance")
         stats.distance = None if distance is None else float(distance)
-        predicted = data.get("predicted_seconds")
-        stats.predicted_seconds = None if predicted is None else float(predicted)
         for label, seconds in dict(data.get("time_by_phase", {})).items():
             stats.time_by_phase[str(label)] = float(seconds)
         for label, seconds in dict(data.get("time_by_operator", {})).items():

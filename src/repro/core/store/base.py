@@ -238,27 +238,14 @@ class GraphStore(ABC):
     def destroy(self) -> None:
         """Drop this store's durable data (where any exists) and close it.
 
-        Calibration probes and test fixtures call this instead of
-        :meth:`close` so a shared database is left clean — the SQL store
-        drops its (prefix-namespaced) graph tables; a ``db_path``-backed
+        Test fixtures call this instead of :meth:`close` so a shared
+        database is left clean — the SQL store drops its
+        (prefix-namespaced) graph tables; a ``db_path``-backed
         SQLite file is emptied the same way but deliberately NOT deleted.
         The default — plain :meth:`close` — is right for engines whose
         data dies with the handle.
         """
         self.close()
-
-    def calibration_path(self) -> Optional[str]:
-        """The ``path`` argument a *calibration probe* store of this
-        backend should be created with, or ``None`` for a fresh in-memory
-        store (the default, right for embedded engines).
-
-        Client-server backends have no "in-memory" mode: their probes must
-        run against the same server — the measured constants are the
-        server's — but in a private table namespace, so each call returns
-        a DSN with a fresh probe prefix that can never clobber hosted
-        graph tables (see :mod:`repro.service.calibrate`).
-        """
-        return None
 
     # -- per-query setup --------------------------------------------------------------
 

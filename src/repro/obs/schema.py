@@ -34,9 +34,6 @@ METRIC_DEADLINE_EXCEEDED = "repro_deadline_exceeded_total"  # counter {graph}
 METRIC_SHED = "repro_shed_total"                          # counter {endpoint}
 METRIC_BREAKER_STATE = "repro_breaker_state"              # gauge {shard}
 
-# -- planner -----------------------------------------------------------
-METRIC_PLANNER_COST_ERROR = "repro_planner_cost_error_ratio"  # histogram {method}
-
 # -- result cache ------------------------------------------------------
 METRIC_CACHE_HITS = "repro_cache_hits_total"              # counter {cache}
 METRIC_CACHE_MISSES = "repro_cache_misses_total"          # counter {cache}

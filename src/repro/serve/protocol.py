@@ -10,8 +10,7 @@ truth for how the library's value objects look on the wire:
   plus the full serialized :class:`~repro.core.stats.QueryStats`, so a
   remote result reports the same per-phase and per-operator breakdowns
   as a local one;
-* :class:`~repro.service.planner.QueryPlan` — for remote ``explain()``,
-  cost breakdown included;
+* :class:`~repro.service.planner.QueryPlan` — for remote ``explain()``;
 * **errors** — a ``{"type", "message"}`` pair; the type is the exception
   class name inside :mod:`repro.errors`, so the client re-raises the
   *same* exception type the server saw (a remote unreachable pair is a
@@ -33,7 +32,6 @@ from repro.core.path import PathResult
 from repro.core.stats import QueryStats
 from repro.errors import RemoteProtocolError, ReproError
 from repro.obs import Trace
-from repro.service.costmodel import CostEstimate
 from repro.service.planner import QueryPlan, QuerySpec
 
 PROTOCOL_VERSION = 1
@@ -176,20 +174,13 @@ def plan_to_dict(plan: QueryPlan) -> Dict[str, object]:
         "phases": list(plan.phases),
         "operators_per_iteration": list(plan.operators_per_iteration),
         "estimated_iterations": plan.estimated_iterations,
-        "cost_breakdown": None if plan.cost_breakdown is None else {
-            method: estimate.as_dict()
-            for method, estimate in plan.cost_breakdown.items()
-        },
-        "predicted_seconds": plan.predicted_seconds,
     }
 
 
 def plan_from_dict(data: Dict[str, object]) -> QueryPlan:
     """Rebuild one :class:`QueryPlan` from the wire."""
     try:
-        breakdown = data.get("cost_breakdown")
         estimated = data.get("estimated_iterations")
-        predicted = data.get("predicted_seconds")
         return QueryPlan(
             spec=spec_from_dict(data["spec"]),
             method=str(data["method"]),
@@ -201,11 +192,6 @@ def plan_from_dict(data: Dict[str, object]) -> QueryPlan:
             operators_per_iteration=tuple(
                 str(op) for op in data.get("operators_per_iteration", ())),
             estimated_iterations=None if estimated is None else int(estimated),
-            cost_breakdown=None if breakdown is None else {
-                str(method): CostEstimate.from_dict(raw)
-                for method, raw in breakdown.items()
-            },
-            predicted_seconds=None if predicted is None else float(predicted),
         )
     except RemoteProtocolError:
         raise

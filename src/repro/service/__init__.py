@@ -9,14 +9,12 @@ and the relational engine underneath:
   :func:`available_backends`) makes graph stores pluggable by name;
 * :class:`PathService` hosts multiple named graphs, manages store
   lifecycle and memoizes SegTable builds;
-* the **planner** resolves ``method="auto"`` into DJ/BDJ/BSDJ/BSEG with a
-  **calibrated cost model** (:mod:`repro.service.costmodel`): per-backend
-  unit costs measured in-process by :mod:`repro.service.calibrate` (never
-  persisted), corrected by runtime feedback from every executed query,
-  and stabilized by plan hysteresis; the same model drives
-  ``build_segtable(lthd="auto")``, and :meth:`PathService.explain`
-  returns the chosen :class:`QueryPlan` with its per-method cost
-  breakdown and predicted FEM iteration shape;
+* the **planner** resolves ``method="auto"`` by the paper's ranking —
+  BSEG when the graph's SegTable is built, BSDJ otherwise —
+  ``build_segtable(lthd="auto")`` picks its threshold from the graph's
+  edge weights, and :meth:`PathService.explain` returns the chosen
+  :class:`QueryPlan` with the rule it applied and its predicted FEM
+  iteration shape;
 * :meth:`PathService.shortest_path_many` executes batches grouped per
   graph behind a shared LRU result cache and reports
   :class:`~repro.core.stats.BatchStats`;
@@ -49,13 +47,6 @@ from repro.core.store.registry import (
 )
 from repro.service.batch import BatchResult, execute_batch, normalize_queries
 from repro.service.cache import CacheStats, ResultCache
-from repro.service.calibrate import calibrate_profile
-from repro.service.costmodel import (
-    CostEstimate,
-    CostModel,
-    CostProfile,
-    default_profile,
-)
 from repro.service.executor import Executor
 from repro.service.pool import PoolStats, StorePool
 from repro.service.planner import (
@@ -74,9 +65,6 @@ __all__ = [
     "BatchResult",
     "BatchStats",
     "CacheStats",
-    "CostEstimate",
-    "CostModel",
-    "CostProfile",
     "DEFAULT_GRAPH",
     "Executor",
     "MEMORY_METHODS",
@@ -90,9 +78,7 @@ __all__ = [
     "ResultCache",
     "available_backends",
     "backend_factory",
-    "calibrate_profile",
     "create_store",
-    "default_profile",
     "execute_batch",
     "normalize_queries",
     "plan_query",

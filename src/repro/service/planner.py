@@ -1,19 +1,14 @@
 """Query specification and planning.
 
 The planner turns a declarative :class:`QuerySpec` into an executable
-:class:`QueryPlan`: it validates the method name, and — for
-``method="auto"`` — prices every eligible method (DJ, BDJ, BSDJ, plus
-BSEG when the graph's SegTable is built) with the **calibrated cost
-model** (:mod:`repro.service.costmodel`) and picks the cheapest.  The
-model combines the graph's statistics with per-backend unit costs
-measured by :mod:`repro.service.calibrate`; an uncalibrated session plans
-from the built-in default profile, and runtime feedback
-(:meth:`~repro.service.costmodel.CostModel.observe`) keeps correcting
-either under real traffic.
+:class:`QueryPlan`: it validates the method name and resolves
+``method="auto"`` with the paper's own ranking (Tables 2–3, Fig 6a):
+BSEG when the graph's SegTable is built, BSDJ otherwise.  DJ, BDJ, BBFS,
+MDJ and MBDJ run only when named; the hop kinds always resolve to the
+layered hop driver.
 
 The plan also predicts the FEM iteration shape (frontier mode, operator
-sequence and an order-of-magnitude iteration estimate) and — when planned
-through a cost model — carries the per-method cost breakdown, which
+sequence and an order-of-magnitude iteration estimate), which
 :meth:`PathService.explain` surfaces without running the query.
 """
 
@@ -37,12 +32,10 @@ from repro.core.stats import (
     PHASE_PATH_EXPANSION,
     PHASE_PATH_RECOVERY,
     PHASE_STATISTICS,
-    SegTableBuildStats,
 )
 from repro.errors import InvalidQueryError
 from repro.graph.stats import GraphStatistics
 from repro.obs import Trace
-from repro.service.costmodel import AUTO_CANDIDATES, CostEstimate, CostModel
 
 RELATIONAL_METHODS: Dict[str, Callable[..., PathResult]] = {
     "DJ": dijkstra_single_direction,
@@ -151,12 +144,6 @@ class QueryPlan:
         estimated_iterations: order-of-magnitude FEM iteration estimate
             derived from the graph statistics (not a promise); ``None``
             when the plan was made without computing statistics.
-        cost_breakdown: per-method :class:`~repro.service.costmodel.CostEstimate`
-            map the cost model scored this plan against (``None`` when the
-            plan never consulted the model — explicit methods on the hot
-            path).
-        predicted_seconds: the model's prediction for the chosen method
-            (feeds the runtime feedback loop and regret reporting).
         trace: the execution trace attached by
             ``explain(..., analyze=True)`` — ``None`` on ordinary plans.
     """
@@ -171,8 +158,6 @@ class QueryPlan:
                                PHASE_PATH_RECOVERY)
     operators_per_iteration: Tuple[str, ...] = (OPERATOR_F, OPERATOR_E, OPERATOR_M)
     estimated_iterations: Optional[int] = None
-    cost_breakdown: Optional[Dict[str, CostEstimate]] = None
-    predicted_seconds: Optional[float] = None
     trace: Optional["Trace"] = field(default=None, compare=False, repr=False)
 
     def describe(self) -> str:
@@ -189,120 +174,80 @@ class QueryPlan:
             f"phases: {' -> '.join(self.phases)}",
             "iteration: " + " -> ".join(self.operators_per_iteration) + expectation,
         ]
-        if self.cost_breakdown:
-            lines.append("costs:")
-            for estimate in sorted(self.cost_breakdown.values(),
-                                   key=lambda e: e.seconds):
-                marker = "->" if estimate.method == self.method else "  "
-                eligibility = "" if estimate.eligible else "  (no SegTable)"
-                lines.append(
-                    f"  {marker} {estimate.method:<4} "
-                    f"~{estimate.seconds * 1e3:.3g} ms  "
-                    f"({estimate.iterations} iters, "
-                    f"{estimate.statements} stmts, "
-                    f"{estimate.rows} rows){eligibility}"
-                )
         return "\n".join(lines)
 
 
 StatsSource = Union[GraphStatistics, Callable[[], GraphStatistics]]
 
-# Module-level fallback for callers that plan without a service (tests,
-# scripts): an uncalibrated model over the default profile.
-_DEFAULT_MODEL = CostModel()
-
 
 def plan_query(spec: QuerySpec, stats: StatsSource,
-               has_segtable: bool, estimate: bool = False,
-               cost_model: Optional[CostModel] = None,
-               segtable_lthd: Optional[float] = None,
-               segtable: Optional[SegTableBuildStats] = None) -> QueryPlan:
+               has_segtable: bool, estimate: bool = False) -> QueryPlan:
     """Resolve ``spec`` into a :class:`QueryPlan`.
 
     Args:
         spec: the query to plan.
         stats: statistics of the graph named by ``spec.graph``, or a
             zero-argument callable producing them.  A callable is invoked
-            only when the plan actually needs statistics (``"auto"``
-            resolution or ``estimate=True``), keeping explicit-method
-            planning free of the O(V+E) statistics scan.
-        has_segtable: whether that graph's store has a SegTable built.
-        estimate: fill :attr:`QueryPlan.estimated_iterations` (and, for
-            explicit methods, the cost breakdown) — ``explain()`` wants
-            them; the query hot path does not.
-        cost_model: the :class:`~repro.service.costmodel.CostModel` that
-            prices ``"auto"`` (the service passes its per-backend model;
-            direct callers get the default-profile model).
-        segtable_lthd: threshold of the built SegTable, if any (sharpens
-            the BSEG estimate).
-        segtable: the SegTable's build statistics, if known (its measured
-            segment count beats the analytic fan-out estimate).
+            only when ``estimate=True``, keeping planning free of the
+            O(V+E) statistics scan.
+        has_segtable: whether that graph's store has a SegTable built;
+            ``method="auto"`` resolves to BSEG when it does and to BSDJ
+            when it does not.
+        estimate: fill :attr:`QueryPlan.estimated_iterations` —
+            ``explain()`` wants it; the query hot path does not.
 
     Raises:
         InvalidQueryError: for unknown methods or kinds, an explicit
             ``BSEG`` request without a SegTable, or a ``max_hops`` that
             does not fit the kind.
     """
-    resolved: Optional[GraphStatistics] = (
-        None if callable(stats) else stats
-    )
-
-    def _stats() -> GraphStatistics:
-        nonlocal resolved
-        if resolved is None:
-            resolved = stats()  # type: ignore[operator]
-        return resolved
-
-    model = cost_model if cost_model is not None else _DEFAULT_MODEL
     if spec.kind not in QUERY_KINDS:
         raise InvalidQueryError(
             f"unknown query kind {spec.kind!r}; "
             f"expected one of {QUERY_KINDS}"
         )
     if spec.kind != KIND_PATH:
-        return _plan_hop_query(spec, _stats, model, estimate)
-    if spec.max_hops is not None:
+        plan = _plan_hop_query(spec)
+    elif spec.max_hops is not None:
         raise InvalidQueryError(
             "max_hops applies to kind='bounded_hop' queries only"
         )
-    breakdown: Optional[Dict[str, CostEstimate]] = None
-    method = normalize_method(spec.method)
-    if method == AUTO_METHOD:
-        method, reason, breakdown = model.choose(
-            _stats(), has_segtable,
-            segtable_lthd=segtable_lthd, segtable=segtable)
-    elif method == "BSEG" and not has_segtable:
-        raise InvalidQueryError(
-            "BSEG requires a SegTable; build one with build_segtable() first"
-        )
     else:
-        reason = "method requested explicitly"
-    plan = _shape_plan(spec, method, reason)
-    # Only methods the model prices get a breakdown attached — explain()
-    # of e.g. BBFS must not render a cost table that omits the method
-    # actually planned.
-    priceable = method in AUTO_CANDIDATES or method == "BSEG"
-    if breakdown is None and estimate and priceable:
-        breakdown = model.breakdown(_stats(), has_segtable,
-                                    segtable_lthd=segtable_lthd,
-                                    segtable=segtable)
-    if breakdown is not None:
-        plan.cost_breakdown = breakdown
-        chosen = breakdown.get(method)
-        if chosen is not None:
-            plan.predicted_seconds = chosen.seconds
+        method = normalize_method(spec.method)
+        if method == AUTO_METHOD:
+            method = "BSEG" if has_segtable else "BSDJ"
+            reason = ("auto: SegTable built -> BSEG" if has_segtable
+                      else "auto: no SegTable -> BSDJ")
+        elif method == "BSEG" and not has_segtable:
+            raise InvalidQueryError(
+                "BSEG requires a SegTable; build one with build_segtable() first"
+            )
+        else:
+            reason = "method requested explicitly"
+        plan = _shape_plan(spec, method, reason)
     if estimate:
-        chosen = (breakdown or {}).get(method)
-        plan.estimated_iterations = (
-            chosen.iterations if chosen is not None
-            else _estimate_iterations(method, _stats())
-        )
+        plan.estimated_iterations = _estimate_iterations(
+            plan.method, stats() if callable(stats) else stats,
+            max_hops=spec.max_hops)
     return plan
 
 
-def _plan_hop_query(spec: QuerySpec,
-                    get_stats: Callable[[], GraphStatistics],
-                    model: CostModel, estimate: bool) -> QueryPlan:
+def auto_lthd(stats: GraphStatistics) -> float:
+    """The SegTable threshold ``build_segtable(lthd="auto")`` builds.
+
+    A segment should cover a few light edges: twice the lightest weight,
+    or a light-skewed blend of the weight range when weights spread wide
+    (2.0 on unit weights, 15.7 on weights 1–100).  A graph with no
+    positive edge weight gets the unit-weight value: any positive
+    threshold builds its (trivial) SegTable.
+    """
+    w_min, w_max = stats.min_edge_weight, stats.max_edge_weight
+    if w_max <= 0:
+        return 2.0
+    return max(2 * w_min, 0.7 * w_min + 0.15 * w_max)
+
+
+def _plan_hop_query(spec: QuerySpec) -> QueryPlan:
     """Plan a non-``path`` kind: both resolve to the layered hop driver.
 
     The requested method name is still validated (a typo should fail the
@@ -335,13 +280,7 @@ def _plan_hop_query(spec: QuerySpec,
         method = METHOD_REACH
         reason = ("kind='reachability': layered hop driver, no weighted "
                   "bookkeeping (fast path)")
-    plan = _shape_plan(spec, method, reason)
-    if estimate:
-        chosen = model.estimate(method, get_stats(), max_hops=spec.max_hops)
-        plan.cost_breakdown = {method: chosen}
-        plan.predicted_seconds = chosen.seconds
-        plan.estimated_iterations = chosen.iterations
-    return plan
+    return _shape_plan(spec, method, reason)
 
 
 def _shape_plan(spec: QuerySpec, method: str, reason: str) -> QueryPlan:
@@ -362,13 +301,15 @@ def _shape_plan(spec: QuerySpec, method: str, reason: str) -> QueryPlan:
     return plan
 
 
-def _estimate_iterations(method: str, stats: GraphStatistics) -> int:
+def _estimate_iterations(method: str, stats: GraphStatistics,
+                         max_hops: Optional[int] = None) -> int:
     """Order-of-magnitude FEM iteration estimate from the branching factor.
 
     A node-at-a-time search settles one node per iteration, so iterations
     track the size of the explored ball; set-at-a-time searches settle a
     whole distance level per iteration, so iterations track the ball's
-    radius (``log_b n``).
+    radius (``log_b n``).  The layered hop driver runs one round per hop
+    of that radius, capped by the hop budget.
     """
     nodes = max(2, stats.num_nodes)
     branching = max(2.0, stats.avg_out_degree)
@@ -378,7 +319,7 @@ def _estimate_iterations(method: str, stats: GraphStatistics) -> int:
     if method in ("BDJ", "MBDJ"):
         return max(1, int(2 * math.sqrt(nodes)))
     # Set-at-a-time: two half-radius sweeps meeting in the middle.
-    return max(1, radius)
+    return max(1, radius if max_hops is None else min(radius, max_hops))
 
 
 __all__ = [
@@ -394,6 +335,7 @@ __all__ = [
     "QuerySpec",
     "RELATIONAL_METHODS",
     "SET_AT_A_TIME",
+    "auto_lthd",
     "normalize_method",
     "plan_query",
 ]

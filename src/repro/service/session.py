@@ -93,14 +93,12 @@ from repro.obs import span as obs_span
 from repro.obs.schema import (
     METRIC_DEADLINE_EXCEEDED,
     METRIC_NOT_FOUND,
-    METRIC_PLANNER_COST_ERROR,
     METRIC_QUERIES,
     METRIC_QUERY_LATENCY,
     METRIC_QUERY_QUEUE,
 )
 from repro.service.answer import AnswerPath, Outcome
 from repro.service.cache import CacheStats, ResultCache
-from repro.service.costmodel import CostModel, CostProfile, default_profile
 from repro.service.pool import PoolStats, StorePool
 from repro.service.planner import (
     KIND_PATH,
@@ -108,6 +106,7 @@ from repro.service.planner import (
     QueryPlan,
     QuerySpec,
     RELATIONAL_METHODS,
+    auto_lthd,
     plan_query,
 )
 
@@ -250,7 +249,6 @@ class PathService:
             from repro.catalog.catalog import Catalog
             self._catalog = Catalog(catalog_path)
         self._segtable_builds = 0
-        self._cost_models: Dict[str, CostModel] = {}
         self._closed = False
 
     # -- warm start --------------------------------------------------------------
@@ -649,9 +647,8 @@ class PathService:
                        index_mode: Optional[str] = None) -> SegTableBuildStats:
         """Build the SegTable index for a hosted graph, memoized.
 
-        ``lthd="auto"`` picks the threshold with the cost model: predicted
-        BSEG online cost traded against predicted construction cost/size
-        (see :meth:`recommend_lthd` for the per-candidate predictions).
+        ``lthd="auto"`` builds at :func:`~repro.service.planner.auto_lthd`
+        of the graph's statistics.
 
         Rebuilding with the same parameters returns the previous
         :class:`SegTableBuildStats` without touching the store; different
@@ -673,7 +670,7 @@ class PathService:
                 raise InvalidQueryError(
                     f"lthd must be a positive number or 'auto', got {lthd!r}"
                 )
-            lthd, _ = self.recommend_lthd(graph)
+            lthd = auto_lthd(host.statistics)
         validate_sql_style(sql_style)
         mode = IndexMode.validate(index_mode or host.index_mode)
         key = self._segtable_memo_key(host, lthd, sql_style, mode)
@@ -722,125 +719,19 @@ class PathService:
         """Build statistics of the graph's SegTable (``None`` if unbuilt)."""
         return self._host(graph).segtable_stats
 
-    # -- cost model / calibration ------------------------------------------------
-
-    def cost_model(self, backend: Optional[str] = None) -> CostModel:
-        """The :class:`CostModel` pricing ``method="auto"`` for ``backend``
-        (the service default when ``None``): the model :meth:`calibrate`
-        measured in this session, or else one over the built-in default
-        profile.  The same object keeps receiving runtime feedback.
-        """
-        backend = (backend or self.default_backend).lower()
-        model = self._cost_models.get(backend)
-        if model is None:
-            model = CostModel(default_profile(backend))
-            self._cost_models[backend] = model
-        return model
-
-    def calibrate(self, backend: Optional[str] = None,
-                  **probe_options: object) -> Dict[str, CostProfile]:
-        """Measure unit costs for one or more backends and adopt them for
-        the rest of this session.  Nothing is persisted: a probe prices
-        the process that ran it.
-
-        Args:
-            backend: a backend name, or ``None`` to calibrate every
-                backend this session currently hosts graphs on (falling
-                back to the service default when nothing is hosted yet).
-            **probe_options: forwarded to
-                :func:`repro.service.calibrate.calibrate_profile`
-                (``seed``, ``probe_nodes``, ``queries_per_method``, ...).
-
-        Returns:
-            Backend name -> the measured :class:`CostProfile`.
-        """
-        from repro.service.calibrate import calibrate_profile
-        if backend is not None:
-            backends = [backend.lower()]
-        else:
-            backends = sorted({host.backend for host in self._hosts.values()}
-                              or {self.default_backend.lower()})
-        profiles: Dict[str, CostProfile] = {}
-        for name in backends:
-            options = dict(probe_options)
-            if "store_path" not in options:
-                # Client-server backends have no in-memory probe mode: the
-                # constants being measured are the *server's*, so probe the
-                # server a hosted graph lives on — under a fresh table
-                # prefix (calibration_path) so the probe can never touch
-                # hosted tables.  Embedded backends return None and keep
-                # their in-memory probe store.
-                hosted = next((host for host in self._hosts.values()
-                               if host.backend == name), None)
-                if hosted is not None:
-                    probe_path = hosted.store.calibration_path()
-                    if probe_path is not None:
-                        options["store_path"] = probe_path
-            profile = calibrate_profile(name, **options)  # type: ignore[arg-type]
-            self._cost_models[name] = CostModel(profile)
-            profiles[name] = profile
-        return profiles
-
-    def recommend_lthd(self, graph: str = DEFAULT_GRAPH,
-                       amortize_queries: int = 500
-                       ) -> Tuple[float, List[Dict[str, float]]]:
-        """Cost-driven SegTable threshold for a hosted graph.
-
-        Trades the predicted BSEG online cost against the predicted
-        construction cost amortized over ``amortize_queries`` queries
-        (Figure 7's trade-off, automated).  Returns ``(lthd, predictions)``
-        where ``predictions`` holds one row per candidate threshold.
-        """
-        host = self._host(graph)
-        model = self.cost_model(host.backend)
-        return model.choose_lthd(host.statistics,
-                                 amortize_queries=amortize_queries)
-
-    def _observe(self, plan: QueryPlan, host: _GraphHost,
-                 executed_seconds: float) -> None:
-        """Feed one executed query back into the backend's cost model.
-
-        Only relational, uncapped queries train the model; and when an
-        explicit-method query never computed the graph's statistics, the
-        sample is dropped rather than paying the O(V+E) scan on the hot
-        path (auto queries always have statistics by construction).
-        """
-        if plan.method in MEMORY_METHODS:
-            return
-        if plan.spec.kind != KIND_PATH:
-            # Hop kinds run a fixed driver — there is no method choice to
-            # train, and folding their (differently shaped) times into the
-            # shared global bias would skew the weighted methods' ordering.
-            return
-        if plan.spec.max_iterations is not None:
-            return  # capped runs may stop early; their times are not real
-        if plan.spec.timeout_s is not None:
-            return  # budgeted runs race a deadline; don't train on them
-        if host._statistics is None:
-            return
-        self.cost_model(host.backend).observe(
-            plan.method, host.statistics, executed_seconds,
-            segtable_lthd=host.store.segtable_lthd,
-            segtable=host.segtable_stats)
-
     # -- planning ----------------------------------------------------------------
 
     def plan(self, spec: QuerySpec, estimate: bool = False) -> QueryPlan:
         """Plan ``spec`` without executing it.
 
-        Statistics are computed lazily: explicit-method plans skip the
-        O(V+E) graph-statistics scan unless ``estimate=True``.
-        ``method="auto"`` is priced by the backend's (possibly calibrated)
-        cost model; the chosen plan carries the per-method breakdown.
+        Statistics are computed lazily: planning skips the O(V+E)
+        graph-statistics scan unless ``estimate=True``.
         """
         host = self._host(spec.graph)
         self._check_nodes(host, spec.source, spec.target)
         validate_sql_style(spec.sql_style)
         return plan_query(spec, lambda: host.statistics,
-                          host.store.has_segtable, estimate=estimate,
-                          cost_model=self.cost_model(host.backend),
-                          segtable_lthd=host.store.segtable_lthd,
-                          segtable=host.segtable_stats)
+                          host.store.has_segtable, estimate=estimate)
 
     def explain(self, source: int, target: int, graph: str = DEFAULT_GRAPH,
                 method: str = "auto", sql_style: str = NSQL,
@@ -1139,11 +1030,6 @@ class PathService:
             if result.stats is not None:
                 exec_span.tag(statements=result.stats.statements,
                               expansions=result.stats.expansions)
-        # Close the planner's loop: every relational execution is a free
-        # calibration sample for this backend's cost model.
-        self._observe(plan, host, executed)
-        if result.stats is not None:
-            result.stats.predicted_seconds = plan.predicted_seconds
         self._publish_query(plan, queued, executed)
         return result, queued, executed
 
@@ -1159,10 +1045,9 @@ class PathService:
     def _publish_query(self, plan: QueryPlan, queued: float,
                        executed: float) -> None:
         """Publish one executed query into the metrics registry — counts,
-        latency/queue histograms, and the planner's predicted-vs-actual
-        cost error.  Runs on every execution (single queries and batch
-        members alike), so registry histogram counts equal the number of
-        queries that actually ran."""
+        latency and queue histograms.  Runs on every execution (single
+        queries and batch members alike), so registry histogram counts
+        equal the number of queries that actually ran."""
         spec = plan.spec
         registry = self._registry
         # The backend label separates embedded engines from client-server
@@ -1183,12 +1068,6 @@ class PathService:
         registry.histogram(
             METRIC_QUERY_QUEUE,
             help="Seconds spent waiting for a pooled store").observe(queued)
-        predicted = plan.predicted_seconds
-        if predicted is not None and predicted > 0 and executed > 0:
-            registry.histogram(
-                METRIC_PLANNER_COST_ERROR, {"method": plan.method},
-                help="abs(predicted - actual) / actual execution seconds",
-            ).observe(abs(predicted - executed) / executed)
 
 
 __all__ = ["DEFAULT_GRAPH", "PathService", "run_in_memory"]

@@ -45,14 +45,12 @@ Capability surface, implemented natively rather than inherited:
   statement's fault; never retried).
 
 Every DSN-addressed store namespaces its shared relations with the
-DSN's ``table_prefix`` (default ``repro_``), so several stores — and
-every calibration probe, via :meth:`calibration_path` — can share one
-server database without touching each other.
+DSN's ``table_prefix`` (default ``repro_``), so several stores can share
+one server database without touching each other.
 """
 
 from __future__ import annotations
 
-import uuid
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple)
 from urllib.parse import parse_qs, urlencode, urlsplit, urlunsplit
@@ -300,8 +298,7 @@ class DBAPIGraphStore(GraphStore):
 
     A store is addressed by DSN, whose scheme resolves the driver — or
     is handed a ready-made in-process ``driver``, in which case there is
-    no DSN: no table prefix, no declared connection cap, and calibration
-    probes stay in memory.
+    no DSN: no table prefix and no declared connection cap.
     """
 
     backend_name = "dbapi"
@@ -434,20 +431,6 @@ class DBAPIGraphStore(GraphStore):
         """Commit the (possibly implicit) transaction so an idle pooled
         connection holds no server-side locks."""
         self._commit()
-
-    def calibration_path(self) -> Optional[str]:
-        """A DSN against the *same server* under a fresh probe prefix.
-
-        Calibration constants are properties of the server, so probes
-        must run there — but never in the hosted tables' namespace, and
-        two concurrent probes must not collide, hence a unique prefix
-        per call.  Probe stores are ``destroy()``-ed after measuring,
-        which drops the prefixed tables again.  An in-process engine's
-        constants are the process's: its probes stay in memory.
-        """
-        if self.parsed is None:
-            return None
-        return self.parsed.with_table_prefix(f"calib{uuid.uuid4().hex[:8]}_")
 
     # ----------------------------------------------------------- persistence
 
@@ -678,8 +661,8 @@ class DBAPIGraphStore(GraphStore):
     def destroy(self) -> None:
         """Drop this store's (prefixed) tables, then close.
 
-        This is the cleanup path for calibration probes and test
-        fixtures sharing one server database: it removes exactly this
+        This is the cleanup path for test fixtures sharing one server
+        database: it removes exactly this
         prefix's namespace and nothing else.
         """
         try:

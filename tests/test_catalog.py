@@ -7,7 +7,7 @@ import sqlite3
 
 import pytest
 
-from repro.catalog import Catalog, load_manifest
+from repro.catalog import MANIFEST_NAME, Catalog, load_manifest
 from repro.catalog.cli import main as catalog_main
 from repro.core.store.registry import create_store
 from repro.errors import (
@@ -19,6 +19,7 @@ from repro.errors import (
 )
 from repro.graph.fingerprint import fingerprint_graph
 from repro.graph.generators import grid_graph, power_law_graph
+from repro.memory.dijkstra import dijkstra_shortest_path
 from repro.service import PathService
 
 
@@ -275,6 +276,41 @@ class TestWarmStart:
     def test_open_without_catalog_dir_creates_empty(self, catalog_dir):
         with PathService.open(catalog_dir) as service:
             assert service.graphs() == ()
+
+    def test_parent_format_calibrations_are_ignored_and_dropped(
+            self, catalog_dir):
+        """Manifests from releases that persisted planner calibrations
+        still open; the section is dropped on the next save."""
+        graph = power_law_graph(80, edges_per_node=2, seed=9)
+        with PathService(catalog_path=catalog_dir) as cold:
+            cold.add_graph("g", graph, backend="sqlite",
+                           db_path=os.path.join(catalog_dir, "g.db"))
+        manifest_path = os.path.join(catalog_dir, MANIFEST_NAME)
+        with open(manifest_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        # The section as earlier releases wrote it.
+        profile = {"version": 2, "backend": "sqlite", "host": "h",
+                   "statement_cost": 1e-5, "scan_row_cost": 1e-8,
+                   "row_cost": 1e-6, "seg_row_cost": 1e-6,
+                   "seg_build_row_cost": 1e-5,
+                   "method_bias": {"DJ": 3.0}, "global_bias": 1.0,
+                   "calibrated": True, "calibrated_at": 1234.5,
+                   "probe_seconds": 0.5}
+        document["calibrations"] = {"sqlite": {
+            "backend": "sqlite", "profile": profile,
+            "calibrated_at": 1234.5}}
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+
+        with PathService.open(catalog_dir) as warm:
+            answer = warm.shortest_path(0, 40, graph="g")
+            assert answer.distance == dijkstra_shortest_path(
+                graph, 0, 40).distance
+            warm.build_segtable("g", lthd=5.0)  # the next manifest save
+        with open(manifest_path, encoding="utf-8") as handle:
+            saved = json.load(handle)
+        assert "calibrations" not in saved
+        assert saved["graphs"]["g"]["segtable"]["lthd"] == 5.0
 
 
 class TestInvalidation:

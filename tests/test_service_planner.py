@@ -1,15 +1,20 @@
-"""Tests for the query planner (QuerySpec -> QueryPlan, method="auto")."""
+"""Tests for the query planner (QuerySpec -> QueryPlan, method="auto",
+lthd="auto")."""
+
+import time
 
 import pytest
 
 from repro.errors import InvalidQueryError
 from repro.graph.generators import grid_graph, path_graph, power_law_graph
+from repro.graph.model import Graph
 from repro.graph.stats import compute_statistics
 from repro.service import PathService, QuerySpec
 from repro.service.planner import (
     METHODS,
     NODE_AT_A_TIME,
     SET_AT_A_TIME,
+    auto_lthd,
     normalize_method,
     plan_query,
 )
@@ -42,17 +47,23 @@ class TestPlanQuery:
     def test_explicit_method_passthrough(self):
         plan = self._plan(grid_graph(3, 3, seed=1), method="bdj")
         assert plan.method == "BDJ"
+        assert plan.frontier_mode == NODE_AT_A_TIME
         assert "explicitly" in plan.reason
 
     def test_explicit_bseg_without_segtable_raises(self):
         with pytest.raises(InvalidQueryError):
             self._plan(grid_graph(3, 3, seed=1), method="BSEG")
 
-    def test_auto_small_graph_picks_dj(self):
-        plan = self._plan(grid_graph(5, 5, seed=2))
-        assert plan.method == "DJ"
-        assert not plan.bidirectional
-        assert plan.frontier_mode == NODE_AT_A_TIME
+    def test_auto_small_graphs_pick_bsdj(self):
+        # The rule has no small-graph clause: DJ wins some small sparse
+        # graphs on minidb, but by less than the rule loses elsewhere
+        # (docs/planner.md, "Counter-examples").
+        for graph in (grid_graph(5, 5, seed=2),
+                      path_graph(10, weight_range=(1, 1), seed=1)):
+            plan = self._plan(graph)
+            assert plan.method == "BSDJ"
+            assert plan.bidirectional
+            assert plan.frontier_mode == SET_AT_A_TIME
 
     def test_auto_power_law_graph_picks_bsdj(self):
         plan = self._plan(power_law_graph(120, edges_per_node=2, seed=3))
@@ -61,10 +72,12 @@ class TestPlanQuery:
         assert plan.frontier_mode == SET_AT_A_TIME
 
     def test_auto_prefers_segtable(self):
-        plan = self._plan(power_law_graph(120, edges_per_node=2, seed=3),
-                          has_segtable=True)
-        assert plan.method == "BSEG"
-        assert plan.uses_segtable
+        for graph in (grid_graph(5, 5, seed=2),
+                      path_graph(10, weight_range=(1, 1), seed=1),
+                      power_law_graph(120, edges_per_node=2, seed=3)):
+            plan = self._plan(graph, has_segtable=True)
+            assert plan.method == "BSEG"
+            assert plan.uses_segtable
 
     def test_auto_never_picks_bseg_without_segtable(self):
         for graph in (path_graph(5), grid_graph(5, 5, seed=2),
@@ -79,12 +92,18 @@ class TestPlanQuery:
                               estimate=True)
             assert plan.estimated_iterations >= 1
 
+    def test_estimated_iterations_grow_with_graph_size(self):
+        small = self._plan(grid_graph(4, 4, seed=1), method="DJ",
+                           estimate=True)
+        large = self._plan(grid_graph(12, 12, seed=1), method="DJ",
+                           estimate=True)
+        assert large.estimated_iterations > small.estimated_iterations
+
     def test_explicit_method_skips_estimate_even_with_eager_stats(self):
         """The hot-path regression fix: eagerly-passed statistics must not
         trigger the iteration estimate unless estimate=True was asked."""
         plan = self._plan(grid_graph(4, 4, seed=5), method="BDJ")
         assert plan.estimated_iterations is None
-        assert plan.cost_breakdown is None
 
     def test_describe_mentions_method_and_operators(self):
         plan = self._plan(power_law_graph(120, edges_per_node=2, seed=3))
@@ -93,22 +112,27 @@ class TestPlanQuery:
         assert "F -> E -> M" in text
         assert "reason:" in text
 
-    def test_auto_plan_carries_cost_breakdown(self):
-        plan = self._plan(power_law_graph(120, edges_per_node=2, seed=3))
-        assert plan.cost_breakdown is not None
-        assert plan.predicted_seconds is not None
-        assert set(plan.cost_breakdown) == {"DJ", "BDJ", "BSDJ", "BSEG"}
-        assert not plan.cost_breakdown["BSEG"].eligible  # no SegTable built
-        assert plan.cost_breakdown[plan.method].seconds == plan.predicted_seconds
-        assert "costs:" in self._plan(
-            power_law_graph(120, edges_per_node=2, seed=3),
-            estimate=True).describe()
+    def test_auto_reason_states_the_rule(self):
+        graph = power_law_graph(120, edges_per_node=2, seed=3)
+        assert self._plan(graph).reason == "auto: no SegTable -> BSDJ"
+        indexed = self._plan(graph, has_segtable=True, estimate=True)
+        assert indexed.reason == "auto: SegTable built -> BSEG"
+        assert "reason: auto: SegTable built -> BSEG" in indexed.describe()
 
-    def test_explain_estimate_prices_explicit_methods(self):
-        plan = self._plan(grid_graph(4, 4, seed=5), method="BDJ",
-                          estimate=True)
-        assert plan.cost_breakdown is not None
-        assert plan.cost_breakdown["BDJ"].seconds > 0
+    def test_statistics_read_only_for_estimates(self):
+        calls = []
+        graph = grid_graph(4, 4, seed=5)
+
+        def stats():
+            calls.append(1)
+            return compute_statistics(graph)
+
+        spec = QuerySpec(source=0, target=1)
+        assert plan_query(spec, stats, False).estimated_iterations is None
+        assert calls == []
+        assert plan_query(spec, stats, False,
+                          estimate=True).estimated_iterations >= 1
+        assert calls == [1]
 
 
 class TestServiceExplain:
@@ -134,3 +158,60 @@ class TestServiceExplain:
             service.add_graph("default", small_power_graph)
             with pytest.raises(NodeNotFoundError):
                 service.explain(0, 10_000)
+
+
+class TestLthdAuto:
+    UNIT_GRAPH = power_law_graph(100, edges_per_node=2,
+                                 weight_range=(1, 1), seed=5)
+    CANDIDATES = [2.0, 4.0, 8.0, 16.0]
+    QUERIES = [(0, 60), (3, 90), (10, 45)]
+
+    def test_auto_lthd_rule_values(self):
+        assert auto_lthd(compute_statistics(self.UNIT_GRAPH)) == 2.0
+        weighted = compute_statistics(
+            power_law_graph(300, edges_per_node=2, seed=7))
+        assert (weighted.min_edge_weight, weighted.max_edge_weight) == (1, 100)
+        assert auto_lthd(weighted) == pytest.approx(15.7)
+        edgeless = Graph()
+        edgeless.add_node(0)
+        assert auto_lthd(compute_statistics(edgeless)) == 2.0
+
+    def test_auto_lthd_lands_in_figure7_good_band(self):
+        """Measure the Figure 7 curve (BSEG query time per lthd) on a
+        unit-weight graph and assert the rule's pick sits in the band of
+        thresholds within 1.5x of the measured best."""
+        measured = {}
+        for lthd in self.CANDIDATES:
+            with PathService(default_backend="sqlite",
+                             cache_size=0) as service:
+                service.add_graph("g", self.UNIT_GRAPH)
+                service.build_segtable("g", lthd=lthd)
+                best = float("inf")
+                for _ in range(3):
+                    start = time.perf_counter()
+                    for source, target in self.QUERIES:
+                        service.shortest_path(source, target, graph="g",
+                                              method="BSEG", use_cache=False)
+                    best = min(best, time.perf_counter() - start)
+                measured[lthd] = best
+        band = [lthd for lthd, seconds in measured.items()
+                if seconds <= 1.5 * min(measured.values())]
+        chosen = auto_lthd(compute_statistics(self.UNIT_GRAPH))
+        assert chosen in band, (
+            f"lthd={chosen} outside the measured good band {band} "
+            f"(times: { {k: round(v, 5) for k, v in measured.items()} })"
+        )
+
+    def test_build_segtable_auto(self, small_power_graph):
+        with PathService() as service:
+            service.add_graph("default", small_power_graph)
+            stats = service.build_segtable(lthd="auto")
+            assert stats.lthd == auto_lthd(service.statistics())
+            assert service.store().segtable_lthd == stats.lthd
+            assert service.explain(0, 50).method == "BSEG"
+
+    def test_build_segtable_rejects_unknown_string(self, small_power_graph):
+        with PathService() as service:
+            service.add_graph("default", small_power_graph)
+            with pytest.raises(InvalidQueryError):
+                service.build_segtable(lthd="automatic")

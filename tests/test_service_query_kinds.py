@@ -54,19 +54,9 @@ class TestKindPlanning:
         bounded = service.explain(0, 5, kind="bounded_hop", max_hops=4)
         assert bounded.method == METHOD_HOPS
         assert bounded.spec.max_hops == 4
-        # The cost model prices the layered driver: a hop budget caps
-        # the predicted rounds.
+        # A hop budget caps the predicted rounds.
         assert bounded.estimated_iterations is not None
         assert bounded.estimated_iterations <= 4
-        assert bounded.predicted_seconds is not None
-
-    def test_hop_kinds_do_not_skew_planner_bias(self, service):
-        profile = service.cost_model().profile
-        before = profile.global_bias
-        for _ in range(5):
-            service.shortest_path(0, 5, kind="reachability",
-                                  use_cache=False)
-        assert profile.global_bias == before
 
 
 class TestOneToMany:
