@@ -9,6 +9,7 @@ from repro.errors import InvalidQueryError
 from repro.graph.generators import grid_graph, path_graph, power_law_graph
 from repro.graph.model import Graph
 from repro.graph.stats import compute_statistics
+from repro.memory.dijkstra import dijkstra_shortest_path
 from repro.service import PathService, QuerySpec
 from repro.service.planner import (
     METHODS,
@@ -70,6 +71,15 @@ class TestPlanQuery:
         assert plan.method == "BSDJ"
         assert plan.bidirectional
         assert plan.frontier_mode == SET_AT_A_TIME
+
+    def test_bsdj_estimates_fewer_iterations_than_bdj_on_hub_heavy_graph(self):
+        # BSDJ's edge on hub-heavy graphs is tie-collapse: it settles a
+        # whole distance level per iteration, so it needs far fewer.
+        graph = power_law_graph(120, edges_per_node=2, seed=3)
+        bsdj = self._plan(graph, estimate=True)
+        bdj = self._plan(graph, method="BDJ", estimate=True)
+        assert bsdj.method == "BSDJ"
+        assert bsdj.estimated_iterations < bdj.estimated_iterations / 2
 
     def test_auto_prefers_segtable(self):
         for graph in (grid_graph(5, 5, seed=2),
@@ -151,6 +161,36 @@ class TestServiceExplain:
             after = service.explain(0, 50).method
             assert before == "BSDJ"
             assert after == "BSEG"
+
+    def test_auto_runs_bsdj_on_small_graphs(self):
+        for graph in (grid_graph(5, 5, seed=2),
+                      path_graph(10, weight_range=(1, 1), seed=1)):
+            target = graph.num_nodes - 1
+            with PathService() as service:
+                service.add_graph("default", graph)
+                result = service.shortest_path(0, target)
+            assert result.stats.method == "BSDJ"
+            assert result.distance == pytest.approx(
+                dijkstra_shortest_path(graph, 0, target).distance)
+
+    def test_auto_runs_bseg_on_indexed_graph(self, small_power_graph):
+        with PathService() as service:
+            service.add_graph("default", small_power_graph)
+            service.build_segtable(lthd=5.0)
+            result = service.shortest_path(0, 50)
+        assert result.stats.method == "BSEG"
+        assert result.distance == pytest.approx(
+            dijkstra_shortest_path(small_power_graph, 0, 50).distance)
+
+    def test_bseg_refused_until_segtable_built(self, small_power_graph):
+        with PathService() as service:
+            service.add_graph("default", small_power_graph)
+            with pytest.raises(InvalidQueryError):
+                service.shortest_path(0, 50, method="BSEG")
+            assert service.shortest_path(0, 50).stats.method == "BSDJ"
+            service.build_segtable(lthd=5.0)
+            assert service.shortest_path(
+                0, 50, method="BSEG").stats.method == "BSEG"
 
     def test_explain_validates_nodes(self, small_power_graph):
         from repro.errors import NodeNotFoundError
