@@ -14,19 +14,26 @@ leg running the exact same assertions.
 
 from __future__ import annotations
 
+import json
 import os
+import random
 import uuid
-from typing import Callable, List, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
 from repro.core.directions import FORWARD_DIRECTION
+from repro.core.multi import hop_limited_search
+from repro.core.segtable import build_segtable
 from repro.core.stats import QueryStats
 from repro.core.store.base import GraphStore
 from repro.core.store.registry import available_backends, create_store
+from repro.errors import PathNotFoundError
 from repro.graph.fingerprint import fingerprint_graph
+from repro.graph.generators import power_law_graph
 from repro.graph.model import Graph
-from repro.service import PathService
+from repro.service import RELATIONAL_METHODS, PathService
 from repro.store.dbapi import ParsedDSN
 
 LIVE_DSN = os.environ.get("REPRO_TEST_DSN", "").strip()
@@ -168,6 +175,72 @@ class TestCapabilitySurface:
         assert store.is_finalized(1, FORWARD_DIRECTION)
 
 
+EXACT_COUNTS_PATH = Path(__file__).with_name("exact_counts.json")
+"""Golden per-query counts, recorded once and compared exactly: a
+refactor of the store contract or the drivers must issue the same
+statements, touch the same rows and visit the same nodes."""
+
+HOP_METHODS = {"HOPS": 3, "REACH": None}
+ISOLATED = 300
+
+
+def _power_graph() -> Graph:
+    """A seeded 300-node power-law graph plus one isolated node."""
+    graph = power_law_graph(300, edges_per_node=2, seed=7)
+    graph.add_node(ISOLATED)
+    return graph
+
+
+def _power_pairs(graph: Graph) -> List[Tuple[int, int]]:
+    """Three pairs drawn with seed 11, and one into the isolated node."""
+    rng = random.Random(11)
+    pairs = [tuple(rng.sample(range(300), 2)) for _ in range(3)]
+    return pairs + [(pairs[0][0], ISOLATED)]
+
+
+def _count_record(stats: QueryStats) -> List[object]:
+    return [stats.statements, stats.affected_rows, stats.expansions,
+            stats.visited_nodes, ",".join(sorted(stats.time_by_phase)),
+            ",".join(sorted(stats.time_by_operator))]
+
+
+def _exact_counts(backend: str) -> Dict[str, object]:
+    """Every method x SQL style on the conformance graph and a seeded
+    300-node power-law graph, plus the SegTable builds: one record per
+    query (unreachable ones included, read off ``store.stats``)."""
+    counts: Dict[str, object] = {}
+    power = _power_graph()
+    for name, graph, pairs in (
+            ("conformance", conformance_graph(), QUERY_PAIRS),
+            ("power300", power, _power_pairs(power))):
+        store = create_store(backend)
+        try:
+            store.load_graph(graph)
+            for style in ("nsql", "tsql"):
+                build = build_segtable(store, 3.0, sql_style=style)
+                counts[f"{name}/SegTableBuild/{style}"] = build.statements
+            for method in list(RELATIONAL_METHODS) + list(HOP_METHODS):
+                for style in ("nsql", "tsql"):
+                    records = []
+                    for source, target in pairs:
+                        try:
+                            if method in HOP_METHODS:
+                                hop_limited_search(
+                                    store, source, target, sql_style=style,
+                                    max_hops=HOP_METHODS[method],
+                                    method=method)
+                            else:
+                                RELATIONAL_METHODS[method](
+                                    store, source, target, sql_style=style)
+                        except PathNotFoundError:
+                            pass
+                        records.append(_count_record(store.stats))
+                    counts[f"{name}/{method}/{style}"] = records
+        finally:
+            store.close()
+    return counts
+
+
 class TestQueryParity:
     @_parametrized
     @pytest.mark.parametrize("method", RELATIONAL)
@@ -205,6 +278,17 @@ class TestQueryParity:
                 assert (result.distance, tuple(result.path)) == expected
         finally:
             service.close()
+
+    @pytest.mark.parametrize("backend", ["minidb", "sqlite"])
+    def test_exact_counts_match_golden(self, backend):
+        """Statements, affected rows, expansions, visited nodes and the
+        timed phase/operator keys of every query are pinned exactly."""
+        golden = json.loads(EXACT_COUNTS_PATH.read_text())[backend]
+        observed = _exact_counts(backend)
+        assert observed.keys() == golden.keys()
+        mismatched = {key: (golden[key], observed[key]) for key in golden
+                      if observed[key] != golden[key]}
+        assert not mismatched, mismatched
 
 
 class TestPooling:
