@@ -13,9 +13,10 @@ Section 3.1's other FEM searches are the service's
 ``examples/fem_generality.py``.
 
 Algorithms talk to a :class:`~repro.core.store.base.GraphStore`, which plays
-the role of "the RDB reached over JDBC" in the paper: every method call
-corresponds to one SQL statement of Listings 2–4.  Two stores are provided:
-one over the built-in mini relational engine and one over SQLite.
+the role of "the RDB reached over JDBC" in the paper: one call runs one FEM
+iteration, and the store issues that iteration's statements of Listings
+2–4.  Two stores are provided: one over the built-in mini relational
+engine and one over SQLite.
 """
 
 from repro.core.stats import QueryStats, SegTableBuildStats

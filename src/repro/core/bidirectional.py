@@ -29,15 +29,15 @@ from repro.core.directions import (
     INFINITY,
 )
 from repro.core.path import PathResult
-from repro.core.recovery import recover_bidirectional_path
 from repro.core.sqlstyle import NSQL, validate_sql_style
-from repro.core.stats import (
-    PHASE_PATH_EXPANSION,
-    PHASE_PATH_RECOVERY,
-    PHASE_STATISTICS,
-    QueryStats,
+from repro.core.stats import PHASE_PATH_EXPANSION, QueryStats
+from repro.core.store.base import (
+    MODE_NODE,
+    MODE_SET,
+    PROBE_MEET,
+    GraphStore,
+    IterationRule,
 )
-from repro.core.store.base import GraphStore
 from repro.errors import InvalidQueryError, PathNotFoundError
 from repro.obs import now as _now
 from repro.obs import span as _span
@@ -131,6 +131,7 @@ def bidirectional_search(store: GraphStore, source: int, target: int,
 
     forward_state = _DirectionState(FORWARD_DIRECTION)
     backward_state = _DirectionState(BACKWARD_DIRECTION)
+    mode = MODE_SET if policy.set_mode else MODE_NODE
     min_cost = INFINITY
 
     while forward_state.latest_distance + backward_state.latest_distance < min_cost:
@@ -141,49 +142,47 @@ def bidirectional_search(store: GraphStore, source: int, target: int,
         if state is None:
             break
         opposite = backward_state if state is forward_state else forward_state
+        rule = IterationRule(
+            mode=mode, probe=PROBE_MEET,
+            threshold=policy.frontier_threshold(state.expansions),
+            use_segtable=policy.use_segtable,
+            prune_lb=opposite.latest_distance if policy.prune else None,
+            prune_min_cost=min_cost if policy.prune else None)
         with _span("fem.iteration", index=stats.expansions + 1,
                    direction=state.direction.name) as iteration:
             statements_before = stats.statements
-            expanded = _expand_one_round(store, stats, policy, state,
-                                         opposite, min_cost)
+            step = store.iterate(state.direction, rule)
+            if step.selected:
+                stats.record_expansion(state.direction.is_forward)
+                # Algorithm 2 balances directions by the affected-tuple
+                # count.  A zero count still finalized this frontier, so
+                # the search goes on; use 1 so the comparison in
+                # _choose_direction stays meaningful.
+                state.frontier_size = (max(step.affected, 1)
+                                       if policy.set_mode else 1)
+                state.expansions += 1
             iteration.tag(statements=stats.statements - statements_before,
-                          frontier=state.frontier_size if expanded else 0)
-        if not expanded:
+                          frontier=state.frontier_size if step.selected else 0)
+        # The termination statistics (Algorithm 2 lines 12 and 16): the
+        # latest finalized distance and minCost.
+        if step.latest is None:
             state.exhausted = True
             state.latest_distance = INFINITY
-            continue
-        # Collect the statistics that drive the termination test (Algorithm 2
-        # lines 12 and 16): the latest finalized distance and minCost.
-        with stats.phase(PHASE_STATISTICS):
-            latest = store.min_unfinalized_distance(state.direction)
-            if latest is None:
-                state.exhausted = True
-                state.latest_distance = INFINITY
-            else:
-                state.latest_distance = latest
-            min_cost = store.min_total_cost()
+        else:
+            state.latest_distance = step.latest
+        if step.selected:
+            min_cost = step.min_cost
 
-    with stats.phase(PHASE_STATISTICS):
-        min_cost = store.min_total_cost()
-    if min_cost >= INFINITY:
-        stats.visited_nodes = store.visited_count()
-        stats.total_time = _now() - start_time
-        raise PathNotFoundError(f"no path from {source} to {target}")
-    with stats.phase(PHASE_STATISTICS):
-        meeting = store.meeting_node(min_cost)
-    if meeting is None:
-        raise PathNotFoundError(
-            f"internal error: no meeting node for minCost={min_cost}"
-        )
-    with stats.phase(PHASE_PATH_RECOVERY):
-        path = recover_bidirectional_path(store, source, target, meeting)
-
-    stats.found = True
-    stats.distance = float(min_cost)
-    stats.path_edges = len(path) - 1
+    found = store.recover(source, target, PROBE_MEET)
     stats.visited_nodes = store.visited_count()
     stats.total_time = _now() - start_time
-    return PathResult(source, target, float(min_cost), path, stats)
+    if found is None:
+        raise PathNotFoundError(f"no path from {source} to {target}")
+    distance, path = found
+    stats.found = True
+    stats.distance = distance
+    stats.path_edges = len(path) - 1
+    return PathResult(source, target, distance, path, stats)
 
 
 def _choose_direction(forward_state: _DirectionState,
@@ -198,49 +197,6 @@ def _choose_direction(forward_state: _DirectionState,
     if forward_state.frontier_size <= backward_state.frontier_size:
         return forward_state
     return backward_state
-
-
-def _expand_one_round(store: GraphStore, stats: QueryStats, policy: FrontierPolicy,
-                      state: _DirectionState, opposite: _DirectionState,
-                      min_cost: float) -> bool:
-    """Run F, E and M for one expansion in ``state``'s direction.
-
-    Returns ``False`` when the direction has no candidate frontier left.
-    """
-    direction = state.direction
-    prune_lb = opposite.latest_distance if policy.prune else None
-    prune_min_cost = min_cost if policy.prune else None
-
-    if not policy.set_mode:
-        with stats.phase(PHASE_STATISTICS):
-            mid = store.top1_min_unfinalized(direction)
-        if mid is None:
-            return False
-        with stats.phase(PHASE_PATH_EXPANSION):
-            store.expand(direction, mid=mid, use_segtable=policy.use_segtable,
-                         prune_lb=prune_lb, prune_min_cost=prune_min_cost)
-            stats.record_expansion(direction.is_forward)
-            store.finalize_node(mid, direction)
-        state.frontier_size = 1
-        state.expansions += 1
-        return True
-
-    threshold = policy.frontier_threshold(state.expansions)
-    with stats.phase(PHASE_PATH_EXPANSION):
-        selected = store.select_frontier_set(direction, threshold)
-    if selected == 0:
-        return False
-    with stats.phase(PHASE_PATH_EXPANSION):
-        affected = store.expand(direction, use_segtable=policy.use_segtable,
-                                prune_lb=prune_lb, prune_min_cost=prune_min_cost)
-        stats.record_expansion(direction.is_forward)
-        store.finalize_frontier(direction)
-    # Algorithm 2 uses the affected-tuple count to balance directions.  A
-    # zero count still finalized this frontier, so the search goes on; use 1
-    # so the comparison in _choose_direction stays meaningful.
-    state.frontier_size = max(affected, 1)
-    state.expansions += 1
-    return True
 
 
 # ----------------------------------------------------------------------------- public methods

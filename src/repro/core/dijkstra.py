@@ -1,7 +1,7 @@
 """DJ — single-directional relational Dijkstra (Algorithm 1 of the paper).
 
-The client loop issues, per iteration, the statements of Listings 2 and 3:
-locate the to-be-finalized node ``mid`` (the auxiliary statement before the
+Each iteration runs the statements of Listings 2 and 3: locate the
+to-be-finalized node ``mid`` (the auxiliary statement before the
 F-operator), run the combined E/M expansion for ``mid``, finalize it, and
 test whether the target has been finalized.  This is the node-at-a-time
 baseline whose poor performance motivates the set-at-a-time optimizations.
@@ -14,15 +14,14 @@ from typing import Optional
 from repro.core.deadline import check_deadline
 from repro.core.directions import FORWARD_DIRECTION
 from repro.core.path import PathResult
-from repro.core.recovery import recover_forward_path
 from repro.core.sqlstyle import NSQL, validate_sql_style
-from repro.core.stats import (
-    PHASE_PATH_EXPANSION,
-    PHASE_PATH_RECOVERY,
-    PHASE_STATISTICS,
-    QueryStats,
+from repro.core.stats import PHASE_PATH_EXPANSION, QueryStats
+from repro.core.store.base import (
+    MODE_NODE,
+    PROBE_FINALIZED,
+    GraphStore,
+    IterationRule,
 )
-from repro.core.store.base import GraphStore
 from repro.errors import PathNotFoundError
 from repro.obs import now as _now
 from repro.obs import span as _span
@@ -66,44 +65,30 @@ def dijkstra_single_direction(store: GraphStore, source: int, target: int,
         stats.total_time = _now() - start_time
         return PathResult(source, target, 0.0, [source], stats)
 
+    rule = IterationRule(mode=MODE_NODE, probe=PROBE_FINALIZED, target=target)
     target_finalized = False
-    while True:
+    while not target_finalized:
         if max_iterations is not None and stats.expansions >= max_iterations:
             break
         check_deadline(deadline, f"DJ iteration {stats.expansions + 1}")
         with _span("fem.iteration", index=stats.expansions + 1,
                    frontier=1) as iteration:
             statements_before = stats.statements
-            # Auxiliary statement: locate the to-be-finalized node
-            # (Listing 2(2)).
-            with stats.phase(PHASE_STATISTICS):
-                mid = store.top1_min_unfinalized(forward)
-            if mid is None:
-                iteration.tag(statements=stats.statements - statements_before)
-                break
-            # F + E + M operators for this node (Listing 2(3) and 2(4)).
-            with stats.phase(PHASE_PATH_EXPANSION):
-                store.expand(forward, mid=mid)
-                stats.record_expansion(forward=True)
-                store.finalize_node(mid, forward)
-            # Termination detection (Listing 3(1)).
-            with stats.phase(PHASE_STATISTICS):
-                finished = store.is_finalized(target, forward)
+            # TOP 1, then F + E + M for that node and the termination
+            # test (Listings 2(2)-(4) and 3(1)-(2)).
+            step = store.iterate(forward, rule)
             iteration.tag(statements=stats.statements - statements_before)
-            if finished:
-                target_finalized = True
-                break
+        if not step.selected:
+            break
+        stats.record_expansion(forward=True)
+        target_finalized = step.done
 
     if not target_finalized:
         stats.visited_nodes = store.visited_count()
         stats.total_time = _now() - start_time
         raise PathNotFoundError(f"no path from {source} to {target}")
 
-    with stats.phase(PHASE_STATISTICS):
-        distance = store.get_distance(target, forward)
-    with stats.phase(PHASE_PATH_RECOVERY):
-        path = recover_forward_path(store, source, target)
-
+    distance, path = store.recover(source, target, PROBE_FINALIZED)
     stats.found = True
     stats.distance = distance
     stats.path_edges = len(path) - 1

@@ -6,8 +6,9 @@ hop-counting query kinds the service layer plans and serves:
 
 * :func:`hop_limited_search` — fewest-hops paths within a hop budget
   (``kind="bounded_hop"``): layered set-at-a-time BFS over the same
-  TVisited relation, one :meth:`~repro.core.store.base.GraphStore.expand_hops`
-  statement per layer, edge weights ignored, distance = hop count.
+  TVisited relation, one hop-mode
+  :meth:`~repro.core.store.base.GraphStore.iterate` per layer, edge
+  weights ignored, distance = hop count.
 * the same driver unbounded is the reachability fast path
   (``kind="reachability"``): no weighted-distance bookkeeping — no
   ``TOP 1`` priority probe, no min-cost statements — just whole-layer
@@ -27,15 +28,14 @@ from typing import Optional
 from repro.core.deadline import check_deadline
 from repro.core.directions import FORWARD_DIRECTION, INFINITY
 from repro.core.path import PathResult
-from repro.core.recovery import recover_forward_path
 from repro.core.sqlstyle import NSQL, validate_sql_style
-from repro.core.stats import (
-    PHASE_PATH_EXPANSION,
-    PHASE_PATH_RECOVERY,
-    PHASE_STATISTICS,
-    QueryStats,
+from repro.core.stats import PHASE_PATH_EXPANSION, QueryStats
+from repro.core.store.base import (
+    MODE_HOPS,
+    PROBE_REACHED,
+    GraphStore,
+    IterationRule,
 )
-from repro.core.store.base import GraphStore
 from repro.errors import PathNotFoundError
 from repro.obs import now as _now
 from repro.obs import span as _span
@@ -53,7 +53,7 @@ def hop_limited_search(store: GraphStore, source: int, target: int,
     """Layered BFS: fewest-hops path (``HOPS``) or reachability (``REACH``).
 
     Rounds of whole-layer F/E/M: select every candidate as the frontier,
-    run one insert-only :meth:`expand_hops` statement, finalize the layer.
+    run one insert-only hop expansion, finalize the layer.
     The reported ``distance`` is the hop count of the recovered witness
     path (edge weights are never read).  With ``max_hops=None`` the search
     is the reachability fast path — it runs until the target appears or
@@ -101,9 +101,11 @@ def hop_limited_search(store: GraphStore, source: int, target: int,
         stats.total_time = _now() - start_time
         return PathResult(source, target, 0.0, [source], stats)
 
-    distance: Optional[float] = None
+    rule = IterationRule(mode=MODE_HOPS, probe=PROBE_REACHED,
+                         threshold=INFINITY, target=target)
+    reached = False
     rounds = 0
-    while True:
+    while not reached:
         if max_hops is not None and rounds >= max_hops:
             break
         if max_iterations is not None and rounds >= max_iterations:
@@ -111,26 +113,17 @@ def hop_limited_search(store: GraphStore, source: int, target: int,
         check_deadline(deadline, f"{method} layer {rounds + 1}")
         with _span("fem.iteration", index=rounds + 1) as iteration:
             statements_before = stats.statements
-            with stats.phase(PHASE_PATH_EXPANSION):
-                selected = store.select_frontier_set(forward, INFINITY)
-                if selected == 0:
-                    iteration.tag(
-                        frontier=0,
-                        statements=stats.statements - statements_before)
-                    break
-                store.expand_hops(forward)
-                stats.record_expansion(forward=True)
-                store.finalize_frontier(forward)
-            rounds += 1
-            with stats.phase(PHASE_STATISTICS):
-                distance = store.get_distance(target, forward)
-            iteration.tag(frontier=selected,
+            step = store.iterate(forward, rule)
+            iteration.tag(frontier=step.selected,
                           statements=stats.statements - statements_before)
-        if distance is not None:
+        if not step.selected:
             break
+        stats.record_expansion(forward=True)
+        rounds += 1
+        reached = step.done
 
     stats.visited_nodes = store.visited_count()
-    if distance is None:
+    if not reached:
         stats.total_time = _now() - start_time
         if max_hops is not None:
             raise PathNotFoundError(
@@ -138,13 +131,12 @@ def hop_limited_search(store: GraphStore, source: int, target: int,
             )
         raise PathNotFoundError(f"no path from {source} to {target}")
 
-    with stats.phase(PHASE_PATH_RECOVERY):
-        path = recover_forward_path(store, source, target)
+    distance, path = store.recover(source, target, PROBE_REACHED)
     stats.found = True
-    stats.distance = float(distance)
+    stats.distance = distance
     stats.path_edges = len(path) - 1
     stats.total_time = _now() - start_time
-    return PathResult(source, target, float(distance), path, stats)
+    return PathResult(source, target, distance, path, stats)
 
 
 __all__ = [

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
+from repro.core.directions import BACKWARD_DIRECTION, Direction, FORWARD_DIRECTION
 from repro.core.stats import QueryStats
+from repro.errors import PathNotFoundError
 from repro.graph.model import Graph
 from repro.obs import Trace
 
@@ -60,3 +62,36 @@ class PathResult:
         assert abs(total - self.distance) < 1e-6, (
             f"path length {total} does not match reported distance {self.distance}"
         )
+
+
+def linked_path(link: Callable[[int, Direction], Optional[int]],
+                source: int, target: int, meeting: int, meet: bool,
+                limit: int) -> List[int]:
+    """Full path recovery (Algorithm 2, lines 17-20): follow the ``p2s``
+    links from ``meeting`` back to ``source`` and, after a meet search,
+    the ``p2t`` links on to ``target``.  Each ``link(nid, direction)`` is
+    one ``SELECT`` of Listing 3(3).
+
+    Raises:
+        PathNotFoundError: a link is missing, or a chain takes more than
+            ``limit`` steps.
+    """
+    def chain(direction: Direction, origin: int) -> List[int]:
+        nodes = [meeting]
+        while nodes[-1] != origin:
+            node = link(nodes[-1], direction)
+            if node is None:
+                raise PathNotFoundError(
+                    f"broken {direction.pred_col} chain at node {nodes[-1]} "
+                    f"during recovery")
+            nodes.append(node)
+            if len(nodes) > limit + 1:
+                raise PathNotFoundError(
+                    f"{direction.pred_col} chain did not reach node {origin} "
+                    f"within {limit} steps")
+        return nodes
+
+    path = chain(FORWARD_DIRECTION, source)[::-1]
+    if meet:
+        path += chain(BACKWARD_DIRECTION, target)[1:]
+    return path

@@ -74,16 +74,14 @@ def build_segtable(store: GraphStore, lthd: float,
     store.begin_query(query_stats, config.sql_style)
     start_time = _now()
 
-    store.seg_init()
-    cheapest = minimal_weight = store.seg_min_unexpanded()
+    cheapest = minimal_weight = store.seg_init()
     expansion_number = 1
     while cheapest is not None and cheapest <= config.lthd:
-        store.seg_select_frontier(
-            max(min(expansion_number * minimal_weight, config.lthd), cheapest))
-        store.seg_expand(config.lthd)
+        cheapest = store.seg_round(
+            max(min(expansion_number * minimal_weight, config.lthd), cheapest),
+            config.lthd)
         build_stats.iterations += 1
         expansion_number += 1
-        cheapest = store.seg_min_unexpanded()
     segments = store.seg_finish(config.lthd, config.index_mode)
     build_stats.out_segments = build_stats.in_segments = segments
 

@@ -1,10 +1,11 @@
 """Graph stores: the "RDB side" of the FEM framework.
 
 A store owns the relational tables (``TNodes``, ``TEdges``, ``TVisited``,
-``TOutSegs``, ``TInSegs``) and exposes one method per SQL statement in the
-paper's Listings 2–4.  The search algorithms in ``repro.core`` are thin
-clients issuing those statements, exactly as the paper's Java client drives
-the RDB through JDBC.
+``TOutSegs``, ``TInSegs``) and runs the paper's Listings 2–4 one FEM
+iteration per call (``iterate``), plus path recovery (``recover``) and
+SegTable construction rounds (``seg_round``).  The search algorithms in
+``repro.core`` keep only the loop's control, as the paper's Java client
+drives the RDB through JDBC.
 
 Two engines are built in:
 

@@ -1,18 +1,23 @@
 """Abstract interface every graph store implements.
 
-Each method corresponds to one SQL statement of the paper's Listings 2–4 (or
-to a DDL/bulk-load step performed once per graph).  Implementations must
-charge issued statements, per-operator timing and affected-row counts to the
-:class:`~repro.core.stats.QueryStats` object supplied via
-:meth:`GraphStore.begin_query`.
+The query surface is the paper's FEM loop (Section 3.1, Algorithm 2):
+:meth:`GraphStore.iterate` runs one iteration — F, E, M and the
+termination probe — :meth:`GraphStore.recover` reads the path back, and
+:meth:`GraphStore.seg_round` is one iteration of the SegTable
+construction.  How many statements each call issues is the store's
+business; the drivers in :mod:`repro.core` keep only the loop's control.
+Implementations charge issued statements, per-phase and per-operator
+timing and affected-row counts to the :class:`~repro.core.stats.QueryStats`
+object supplied via :meth:`GraphStore.begin_query`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.directions import Direction
+from repro.core.directions import Direction, INFINITY
 from repro.core.stats import QueryStats
 from repro.errors import PersistenceUnsupportedError, StoreCloneUnsupportedError
 from repro.graph.model import Graph
@@ -34,6 +39,72 @@ class IndexMode:
         if normalized not in cls.ALL:
             raise ValueError(f"unknown index mode {mode!r}; expected one of {cls.ALL}")
         return normalized
+
+
+MODE_NODE = "node"
+"""F picks the one candidate with the least distance (DJ, BDJ)."""
+MODE_SET = "set"
+"""F marks every candidate within the rule's threshold, and always the
+least-distance ones (BSDJ, BBFS, BSEG)."""
+MODE_HOPS = "hops"
+"""Set mode with the insert-only, unit-weight expansion (HOPS, REACH)."""
+
+PROBE_MEET = "meet"
+"""Read the direction's least unfinalized distance and ``minCost``
+(Listing 4(4) and 4(5)): the bidirectional termination test."""
+PROBE_FINALIZED = "finalized"
+"""Whether the target is finalized (Listing 3(1)): DJ's test."""
+PROBE_REACHED = "reached"
+"""Whether the target has a distance: the hop searches' test."""
+
+
+@dataclass(frozen=True)
+class IterationRule:
+    """How :meth:`GraphStore.iterate` runs one iteration.
+
+    Attributes:
+        mode: ``MODE_NODE``, ``MODE_SET`` or ``MODE_HOPS``.
+        probe: ``PROBE_MEET``, ``PROBE_FINALIZED`` or ``PROBE_REACHED``.
+        threshold: set mode selects every candidate whose distance is at
+            most this (plus the least-distance ones).
+        use_segtable: expand over ``TOutSegs`` / ``TInSegs`` instead of
+            ``TEdges``.
+        prune_lb: the opposite direction's latest finalized distance
+            (``l_b`` in Theorem 1); ``None`` disables pruning.
+        prune_min_cost: the best path length found so far (``minCost``);
+            ``None`` disables pruning.
+        target: the node the ``finalized`` and ``reached`` probes read.
+    """
+
+    mode: str
+    probe: str
+    threshold: float = -INFINITY
+    use_segtable: bool = False
+    prune_lb: Optional[float] = None
+    prune_min_cost: Optional[float] = None
+    target: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class Step:
+    """What one :meth:`GraphStore.iterate` call found.
+
+    Attributes:
+        selected: frontier nodes F selected; 0 when the direction had no
+            candidate left (nothing else ran).
+        affected: ``TVisited`` rows E and M changed (the SQLCA count).
+        latest: the direction's least unfinalized distance (meet probe),
+            ``None`` when no candidate is left.
+        min_cost: the least ``d2s + d2t`` (meet probe), +inf before the
+            searches meet.
+        done: the target is finalized or reached (the other probes).
+    """
+
+    selected: int
+    affected: int = 0
+    latest: Optional[float] = None
+    min_cost: float = INFINITY
+    done: bool = False
 
 
 class GraphStore(ABC):
@@ -262,118 +333,47 @@ class GraphStore(ABC):
     def insert_visited(self, rows: Sequence[Dict[str, object]]) -> None:
         """Insert initial rows into ``TVisited`` (Listing 2(1))."""
 
-    # -- statistics-collection statements (SC phase) -------------------------------------
-
-    @abstractmethod
-    def top1_min_unfinalized(self, direction: Direction) -> Optional[int]:
-        """``SELECT TOP 1 nid`` with the minimal distance among non-finalized
-        nodes (Listing 2(2)); ``None`` when no candidate remains."""
-
-    @abstractmethod
-    def min_unfinalized_distance(self, direction: Direction) -> Optional[float]:
-        """``SELECT min(dist) FROM TVisited WHERE flag = 0`` (Listing 4(4))."""
-
-    @abstractmethod
-    def count_unfinalized(self, direction: Direction) -> int:
-        """Number of candidate frontier nodes (flag = 0) for ``direction``."""
-
-    @abstractmethod
-    def min_total_cost(self) -> float:
-        """``SELECT min(d2s + d2t) FROM TVisited`` (Listing 4(5)); +inf when
-        the searches have not met."""
-
-    @abstractmethod
-    def meeting_node(self, min_cost: float) -> Optional[int]:
-        """``SELECT nid FROM TVisited WHERE d2s + d2t = minCost`` (Listing 4(6))."""
-
-    @abstractmethod
-    def is_finalized(self, nid: int, direction: Direction) -> bool:
-        """Termination detection (Listing 3(1))."""
-
     @abstractmethod
     def visited_count(self) -> int:
         """Number of rows in ``TVisited`` (the "Vst" column of Table 3)."""
 
-    @abstractmethod
-    def visited_rows(self) -> List[Dict[str, object]]:
-        """Materialize ``TVisited`` (used by tests and debugging)."""
-
-    # -- F-operator statements ---------------------------------------------------------------
+    # -- one FEM iteration (Algorithm 2, lines 7-16) -----------------------------
 
     @abstractmethod
-    def finalize_node(self, nid: int, direction: Direction) -> None:
-        """``UPDATE TVisited SET flag = 1 WHERE nid = mid`` (Listing 3(2))."""
+    def iterate(self, direction: Direction, rule: IterationRule) -> Step:
+        """Run one iteration in ``direction``: F selects the frontier, E
+        and M expand it and merge the result into ``TVisited``, then the
+        probe ``rule.probe`` names reads the termination statistics.
 
-    @abstractmethod
-    def select_frontier_set(self, direction: Direction,
-                            max_distance: float) -> int:
-        """Mark frontier candidates with flag = 2 (Listing 4(1)).
+        Node mode locates the frontier with ``TOP 1`` (Listing 2(2)),
+        expands it (Listing 2(3)) and finalizes it (Listing 3(2)).  Set
+        mode marks the frontier (Listing 4(1)), expands it (Listing 4(2),
+        or the insert-only hop expansion in hop mode) and finalizes it
+        (Listing 4(3)).  When no candidate is left, nothing after F runs
+        and the step's ``selected`` is 0.
 
-        A node is selected when its flag is 0 and its distance is at most
-        ``max_distance`` **or** equal to the minimal distance among flag-0
-        nodes.  Returns the number of selected nodes.
+        The store charges the time to :attr:`stats`: ``TOP 1`` and the
+        probe under the SC phase, the rest under PE, and the F, E and M
+        statements under their operators.
         """
 
     @abstractmethod
-    def finalize_frontier(self, direction: Direction) -> int:
-        """``UPDATE TVisited SET flag = 1 WHERE flag = 2`` (Listing 4(3))."""
+    def recover(self, source: int, target: int,
+                probe: str) -> Optional[Tuple[float, List[int]]]:
+        """The path's length and nodes once the iterations have stopped.
 
-    # -- E + M operators -------------------------------------------------------------------------
+        After a meet search (``PROBE_MEET``), read ``minCost`` (Listing
+        4(5)) and the meeting node (Listing 4(6)), then follow ``p2s``
+        back to ``source`` and ``p2t`` on to ``target``; ``None`` when the
+        searches never met.  After a single-direction search, follow
+        ``p2s`` back from ``target``; ``PROBE_FINALIZED`` first reads the
+        target's distance, ``PROBE_REACHED`` reports the hop count.
+        Every link is one ``SELECT`` (Listing 3(3)) under the FPR phase.
 
-    @abstractmethod
-    def expand(self, direction: Direction, mid: Optional[int] = None,
-               use_segtable: bool = False,
-               prune_lb: Optional[float] = None,
-               prune_min_cost: Optional[float] = None) -> int:
-        """Run the combined E- and M-operator for one expansion.
-
-        Args:
-            direction: search direction.
-            mid: when given, expand only the node ``mid`` (node-at-a-time,
-                Listing 2(3)); otherwise expand every node with flag = 2
-                (set-at-a-time, Listing 4(2)).
-            use_segtable: expand over ``TOutSegs`` / ``TInSegs`` instead of
-                ``TEdges``.
-            prune_lb: the opposite direction's latest finalized distance
-                (``l_b`` in Theorem 1); ``None`` disables pruning.
-            prune_min_cost: the best path length discovered so far
-                (``minCost``); ``None`` disables pruning.
-
-        Returns:
-            The number of affected TVisited rows (the SQLCA count).
+        Raises:
+            PathNotFoundError: a link chain breaks or runs longer than
+                ``TVisited``.
         """
-
-    def expand_hops(self, direction: Direction) -> int:
-        """Run one *hop-counting* E/M expansion of the flag-2 frontier.
-
-        The unweighted sibling of the set-at-a-time :meth:`expand`: every
-        frontier node's out-neighbors (in-neighbors backward) become
-        candidates at distance ``frontier + 1`` — edge weights ignored —
-        and, unlike the weighted merge, the insert never updates an
-        existing ``TVisited`` row.  Because the hop drivers always select
-        the *entire* unfinalized set as the frontier, every visited node
-        already carries its minimal hop count, so insert-only is exact and
-        keeps predecessor links stable (ties break to the smallest
-        frontier ``nid``, which makes the recovered witness path
-        deterministic across backends).
-
-        Returns:
-            The number of newly inserted TVisited rows.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement hop-counting "
-            f"expansion; bounded-hop and reachability queries need it"
-        )
-
-    # -- path recovery (FPR phase) ------------------------------------------------------------------
-
-    @abstractmethod
-    def get_link(self, nid: int, direction: Direction) -> Optional[int]:
-        """``SELECT p2s/p2t FROM TVisited WHERE nid = ?`` (Listing 3(3))."""
-
-    @abstractmethod
-    def get_distance(self, nid: int, direction: Direction) -> Optional[float]:
-        """Distance of ``nid`` from the direction's origin, if visited."""
 
     # -- SegTable construction statements (Section 4.2) -------------------------------------------------
     #
@@ -382,28 +382,20 @@ class GraphStore(ABC):
     # ``fid``), so TInSegs is TOutSegs transposed, with ``sid`` as its link.
 
     @abstractmethod
-    def seg_init(self) -> None:
+    def seg_init(self) -> Optional[float]:
         """Seed the working segments from ``TEdges`` (deduplicated parallel
         edges, no self loops): edge ``(u, v)`` is the unexpanded segment
-        ``(u, v)`` with ``pid = u`` and ``sid = v``."""
+        ``(u, v)`` with ``pid = u`` and ``sid = v``.  Returns the least
+        unexpanded cost, ``None`` for a graph without edges."""
 
     @abstractmethod
-    def seg_min_unexpanded(self) -> Optional[float]:
-        """Minimal cost among unexpanded working segments, read through an
-        index rather than a scan of the working segments."""
-
-    @abstractmethod
-    def seg_select_frontier(self, max_cost: float) -> int:
-        """Copy the unexpanded working segments with cost <= ``max_cost``
-        into the frontier relation and mark them expanded; returns how
-        many."""
-
-    @abstractmethod
-    def seg_expand(self, lthd: float) -> int:
-        """One construction expansion: join the frontier with ``TEdges``,
-        keep results within ``lthd``, and merge them into the working
-        segments (an improved segment becomes unexpanded again).  Returns
-        the number of affected working rows."""
+    def seg_round(self, max_cost: float, lthd: float) -> Optional[float]:
+        """One construction iteration: move the unexpanded working
+        segments with cost <= ``max_cost`` into the frontier and mark them
+        expanded, extend the frontier by one ``TEdges`` edge within
+        ``lthd``, and merge the extensions into the working segments (an
+        improved segment becomes unexpanded again).  Returns the least
+        unexpanded cost left, read through an index, or ``None``."""
 
     @abstractmethod
     def seg_finish(self, lthd: float,

@@ -6,8 +6,8 @@ the (optionally clustered) index on ``TEdges(fid)`` / ``TOutSegs(fid)``, the
 window function removes duplicate expansions, and the M-operator runs as a
 MERGE (or as UPDATE + INSERT in the traditional-SQL mode).
 
-Every public method corresponds to one SQL statement in the paper's
-Listings 2–4 and charges itself to the current
+:meth:`MiniDBGraphStore.iterate` runs the statements of one FEM
+iteration in the paper's Listings 2–4 and charges each to the current
 :class:`~repro.core.stats.QueryStats`.
 """
 
@@ -16,11 +16,28 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.directions import BACKWARD_DIRECTION, Direction, FORWARD_DIRECTION, INFINITY
+from repro.core.path import linked_path
 from repro.core.sqlstyle import NSQL, validate_sql_style
-from repro.core.stats import OPERATOR_E, OPERATOR_F, OPERATOR_M
-from repro.core.store.base import GraphStore, IndexMode
+from repro.core.stats import (
+    OPERATOR_E,
+    OPERATOR_F,
+    OPERATOR_M,
+    PHASE_PATH_EXPANSION,
+    PHASE_PATH_RECOVERY,
+    PHASE_STATISTICS,
+)
+from repro.core.store.base import (
+    MODE_HOPS,
+    MODE_NODE,
+    PROBE_FINALIZED,
+    PROBE_MEET,
+    GraphStore,
+    IndexMode,
+    IterationRule,
+    Step,
+)
 from repro.core.store.registry import register_backend
-from repro.errors import InvalidQueryError
+from repro.errors import InvalidQueryError, PathNotFoundError
 from repro.graph.model import Graph
 from repro.rdb.engine import Database
 from repro.rdb.merge import merge_into, merge_with_update_insert
@@ -65,7 +82,6 @@ class MiniDBGraphStore(GraphStore):
         self._owns_database = database is None
         self.index_mode = IndexMode.CLUSTERED
         self._graph_loaded = False
-        self._seg_frontier: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------ helpers
 
@@ -196,42 +212,98 @@ class MiniDBGraphStore(GraphStore):
             }
             self.visited.insert(complete)
 
-    # ------------------------------------------------------------ statistics statements
+    def visited_count(self) -> int:
+        """Number of visited nodes (Table 3's "Vst")."""
+        return self.visited.row_count
 
-    def top1_min_unfinalized(self, direction: Direction) -> Optional[int]:
-        """Listing 2(2): the candidate node with the minimal distance."""
-        self._count_statement()
-        best_nid: Optional[int] = None
-        best_dist = INFINITY
+    # ------------------------------------------------------------ one FEM iteration
+
+    def iterate(self, direction: Direction, rule: IterationRule) -> Step:
+        """One F/E/M iteration plus its probe (Listings 2-4)."""
+        stats = self.stats
+        flag, dist = direction.flag_col, direction.dist_col
+        if rule.mode == MODE_NODE:
+            # Listing 2(2): the candidate with the least distance.
+            with stats.phase(PHASE_STATISTICS):
+                self._count_statement()
+                _, mid = self._least_unfinalized(direction)
+            if mid is None:
+                return Step(selected=0)
+            with stats.phase(PHASE_PATH_EXPANSION):
+                affected = self._expand(direction, rule, mid)
+                # Listing 3(2): finalize it.
+                self._count_statement()
+                with stats.operator(OPERATOR_F):
+                    self.visited.update_where(
+                        lambda row: row["nid"] == mid,
+                        lambda row: {flag: 1},
+                    )
+            selected = 1
+        else:
+            with stats.phase(PHASE_PATH_EXPANSION):
+                # Listing 4(1): mark the frontier with flag = 2.
+                self._count_statement()
+                with stats.operator(OPERATOR_F):
+                    least, _ = self._least_unfinalized(direction)
+                    threshold = max(rule.threshold, least)
+                    selected = 0 if least == INFINITY else self.visited.update_where(
+                        lambda row: row[flag] == 0 and row[dist] <= threshold,
+                        lambda row: {flag: 2},
+                    )
+                if not selected:
+                    return Step(selected=0)
+                if rule.mode == MODE_HOPS:
+                    affected = self._expand_hops(direction)
+                else:
+                    affected = self._expand(direction, rule)
+                # Listing 4(3): mark the frontier as expanded.
+                self._count_statement()
+                with stats.operator(OPERATOR_F):
+                    self.visited.update_where(
+                        lambda row: row[flag] == 2,
+                        lambda row: {flag: 1},
+                    )
+        with stats.phase(PHASE_STATISTICS):
+            if rule.probe == PROBE_MEET:
+                # Listing 4(4) and 4(5).
+                self._count_statement()
+                latest, _ = self._least_unfinalized(direction)
+                return Step(selected, affected,
+                            latest=None if latest == INFINITY else latest,
+                            min_cost=self._min_cost())
+            if rule.probe == PROBE_FINALIZED:
+                # Listing 3(1).
+                self._count_statement()
+                row = self._visited_row(rule.target)
+                done = row is not None and row[flag] == 1
+            else:
+                done = self._distance(rule.target, direction) is not None
+        return Step(selected, affected, done=done)
+
+    def _least_unfinalized(self, direction: Direction
+                           ) -> Tuple[float, Optional[int]]:
+        """The least flag-0 distance in ``direction`` and its node."""
+        flag, dist = direction.flag_col, direction.dist_col
+        least, nid = INFINITY, None
         for row in self.visited.scan():
-            if row[direction.flag_col] != 0:
-                continue
-            distance = row[direction.dist_col]
-            if distance < best_dist:
-                best_dist = distance
-                best_nid = int(row["nid"])
-        if best_dist == INFINITY:
+            if row[flag] == 0 and row[dist] < least:
+                least, nid = row[dist], int(row["nid"])
+        return least, nid
+
+    def _visited_row(self, nid: int) -> Optional[Dict[str, object]]:
+        for row in self.visited.lookup("nid", nid):
+            return row
+        return None
+
+    def _distance(self, nid: int, direction: Direction) -> Optional[float]:
+        """Distance of ``nid`` in ``direction``, ``None`` when unreached."""
+        self._count_statement()
+        row = self._visited_row(nid)
+        if row is None or row[direction.dist_col] >= INFINITY:
             return None
-        return best_nid
+        return float(row[direction.dist_col])
 
-    def min_unfinalized_distance(self, direction: Direction) -> Optional[float]:
-        """Listing 4(4): minimal distance among candidate frontier nodes."""
-        self._count_statement()
-        best = INFINITY
-        for row in self.visited.scan():
-            if row[direction.flag_col] == 0 and row[direction.dist_col] < best:
-                best = row[direction.dist_col]
-        return None if best == INFINITY else best
-
-    def count_unfinalized(self, direction: Direction) -> int:
-        """Number of candidate frontier nodes for ``direction``."""
-        self._count_statement()
-        return sum(
-            1 for row in self.visited.scan()
-            if row[direction.flag_col] == 0 and row[direction.dist_col] < INFINITY
-        )
-
-    def min_total_cost(self) -> float:
+    def _min_cost(self) -> float:
         """Listing 4(5): minimal ``d2s + d2t`` over all visited nodes."""
         self._count_statement()
         best = INFINITY
@@ -241,80 +313,52 @@ class MiniDBGraphStore(GraphStore):
                 best = total
         return best
 
-    def meeting_node(self, min_cost: float) -> Optional[int]:
-        """Listing 4(6): a node whose ``d2s + d2t`` equals ``min_cost``."""
-        self._count_statement()
-        for row in self.visited.scan():
-            if abs(row["d2s"] + row["d2t"] - min_cost) < 1e-9:
-                return int(row["nid"])
-        return None
+    def recover(self, source: int, target: int,
+                probe: str) -> Optional[Tuple[float, List[int]]]:
+        """Listing 4(5)-(6), then one Listing 3(3) lookup per link."""
+        distance: Optional[float] = None
+        meeting: Optional[int] = target
+        with self.stats.phase(PHASE_STATISTICS):
+            if probe == PROBE_MEET:
+                distance = self._min_cost()
+                if distance >= INFINITY:
+                    return None
+                self._count_statement()
+                meeting = next((int(row["nid"]) for row in self.visited.scan()
+                                if abs(row["d2s"] + row["d2t"] - distance) < 1e-9),
+                               None)
+                if meeting is None:
+                    raise PathNotFoundError(
+                        f"internal error: no meeting node for "
+                        f"minCost={distance}")
+            elif probe == PROBE_FINALIZED:
+                distance = self._distance(target, FORWARD_DIRECTION)
 
-    def is_finalized(self, nid: int, direction: Direction) -> bool:
-        """Listing 3(1): whether ``nid`` has been finalized in ``direction``."""
-        self._count_statement()
-        for row in self.visited.lookup("nid", nid):
-            return row[direction.flag_col] == 1
-        return False
+        def link(nid: int, direction: Direction) -> Optional[int]:
+            self._count_statement()
+            row = self._visited_row(nid)
+            if row is None or row[direction.pred_col] is None:
+                return None
+            return int(row[direction.pred_col])
 
-    def visited_count(self) -> int:
-        """Number of visited nodes (Table 3's "Vst")."""
-        return self.visited.row_count
+        with self.stats.phase(PHASE_PATH_RECOVERY):
+            path = linked_path(link, source, target, meeting,
+                               probe == PROBE_MEET,
+                               max(self.visited_count(), 1) + 1)
+        return (float(len(path) - 1) if distance is None else distance,
+                path)
 
-    def visited_rows(self) -> List[Dict[str, object]]:
-        """Materialize ``TVisited``."""
-        return list(self.visited.scan())
-
-    # ---------------------------------------------------------------- F-operator statements
-
-    def finalize_node(self, nid: int, direction: Direction) -> None:
-        """Listing 3(2): set the finalization flag of ``nid``."""
-        self._count_statement()
-        with self.stats.operator(OPERATOR_F):
-            self.visited.update_where(
-                lambda row: row["nid"] == nid,
-                lambda row: {direction.flag_col: 1},
-            )
-
-    def select_frontier_set(self, direction: Direction, max_distance: float) -> int:
-        """Listing 4(1): mark frontier candidates with flag = 2."""
-        self._count_statement()
-        with self.stats.operator(OPERATOR_F):
-            flag, dist = direction.flag_col, direction.dist_col
-            minimal = INFINITY
-            for row in self.visited.scan():
-                if row[flag] == 0 and row[dist] < minimal:
-                    minimal = row[dist]
-            if minimal == INFINITY:
-                return 0
-            threshold = max(max_distance, minimal)
-            return self.visited.update_where(
-                lambda row: row[flag] == 0 and row[dist] <= threshold,
-                lambda row: {flag: 2},
-            )
-
-    def finalize_frontier(self, direction: Direction) -> int:
-        """Listing 4(3): mark the selected frontier as expanded."""
-        self._count_statement()
-        with self.stats.operator(OPERATOR_F):
-            flag = direction.flag_col
-            return self.visited.update_where(
-                lambda row: row[flag] == 2,
-                lambda row: {flag: 1},
-            )
-
-    # ------------------------------------------------------------------- E + M operators
-
-    def expand(self, direction: Direction, mid: Optional[int] = None,
-               use_segtable: bool = False,
-               prune_lb: Optional[float] = None,
-               prune_min_cost: Optional[float] = None) -> int:
-        """The combined E- and M-operator (Listing 2(3)+(4) / Listing 4(2))."""
-        if use_segtable and not self.has_segtable:
+    def _expand(self, direction: Direction, rule: IterationRule,
+                mid: Optional[int] = None) -> int:
+        """The combined E- and M-operator (Listing 2(3)+(4) / Listing 4(2))
+        for the node ``mid`` or, without one, the flag-2 frontier."""
+        if rule.use_segtable and not self.has_segtable:
             raise InvalidQueryError("SegTable expansion requested but no SegTable loaded")
         self._count_statement()
         with self.stats.operator(OPERATOR_E):
             candidates = self._expand_candidates(
-                direction, mid, use_segtable, prune_lb, prune_min_cost
+                direction, mid, rule.use_segtable, rule.prune_lb,
+                rule.prune_min_cost
             )
             deduplicated = self._deduplicate(candidates)
         with self.stats.operator(OPERATOR_M):
@@ -438,7 +482,7 @@ class MiniDBGraphStore(GraphStore):
         )
         return result.affected
 
-    def expand_hops(self, direction: Direction) -> int:
+    def _expand_hops(self, direction: Direction) -> int:
         """Hop-counting E/M: insert-only frontier expansion (weights ignored).
 
         Candidates are the frontier's neighbors at ``frontier + 1`` hops;
@@ -493,31 +537,12 @@ class MiniDBGraphStore(GraphStore):
         self.stats.affected_rows += inserted
         return inserted
 
-    # ----------------------------------------------------------------------- path recovery
-
-    def get_link(self, nid: int, direction: Direction) -> Optional[int]:
-        """Listing 3(3): the p2s / p2t link of ``nid``."""
-        self._count_statement()
-        for row in self.visited.lookup("nid", nid):
-            value = row[direction.pred_col]
-            return None if value is None else int(value)
-        return None
-
-    def get_distance(self, nid: int, direction: Direction) -> Optional[float]:
-        """Distance of ``nid`` in ``direction``, or ``None`` when not visited."""
-        self._count_statement()
-        for row in self.visited.lookup("nid", nid):
-            distance = row[direction.dist_col]
-            return None if distance >= INFINITY else float(distance)
-        return None
-
     # -------------------------------------------------------------- SegTable construction
     #
     # ``TSegsWork`` holds every segment found so far, its unexpanded rows
-    # (``f = 0``) reached through the index on ``f``; ``_seg_frontier``
-    # holds the current frontier.
+    # (``f = 0``) reached through the index on ``f``.
 
-    def seg_init(self) -> None:
+    def seg_init(self) -> Optional[float]:
         """Seed ``TSegsWork`` with the (deduplicated) edges of ``TEdges``."""
         self._count_statement()
         if self.database.has_table("TSegsWork"):
@@ -539,29 +564,27 @@ class MiniDBGraphStore(GraphStore):
         work.insert_many(cheapest.values())
         work.create_index("pairkey", unique=True)
         work.create_index("f")
+        return self._seg_min()
 
-    def seg_min_unexpanded(self) -> Optional[float]:
+    def _seg_min(self) -> Optional[float]:
         """Minimal cost among unexpanded working segments."""
         self._count_statement()
         costs = [row["cost"] for row in self._table("TSegsWork").lookup("f", 0)]
         return min(costs) if costs else None
 
-    def seg_select_frontier(self, max_cost: float) -> int:
-        """Move unexpanded segments with cost <= ``max_cost`` to the frontier."""
+    def seg_round(self, max_cost: float, lthd: float) -> Optional[float]:
+        """Move unexpanded segments with cost <= ``max_cost`` to the
+        frontier, extend each by one edge and merge the extensions."""
         self._count_statement()
         work = self._table("TSegsWork")
-        self._seg_frontier = []
+        frontier = []
         for rid, row in work.lookup_with_rids("f", 0):
             if row["cost"] <= max_cost:
-                self._seg_frontier.append(row)
+                frontier.append(row)
                 work.update_by_rid(rid, dict(row, f=1), old_row=row)
-        return len(self._seg_frontier)
-
-    def seg_expand(self, lthd: float) -> int:
-        """One construction expansion over the frontier segments."""
         self._count_statement()
         candidates: List[Dict[str, object]] = []
-        for segment in self._seg_frontier:
+        for segment in frontier:
             # Extend the segment by one original edge leaving its end node.
             end_node = int(segment["tid"])
             for edge_row in self.edges.lookup("fid", end_node):
@@ -574,7 +597,7 @@ class MiniDBGraphStore(GraphStore):
                         "pid": end_node, "sid": segment["sid"],
                         "cost": new_cost, "f": 0})
         if not candidates:
-            return 0
+            return self._seg_min()
         if validate_sql_style(self.sql_style) == NSQL:
             ranked = window_row_number(
                 candidates, partition_by=["pairkey"],
@@ -590,8 +613,8 @@ class MiniDBGraphStore(GraphStore):
                     minima[key] = row
             deduplicated = list(minima.values())
             merge_function = merge_with_update_insert
-        result = merge_function(
-            self._table("TSegsWork"), deduplicated,
+        merge_function(
+            work, deduplicated,
             key_column="pairkey", source_key="pairkey",
             matched_condition=lambda target, source: (
                 target["cost"] > source["cost"]),
@@ -601,7 +624,7 @@ class MiniDBGraphStore(GraphStore):
             not_matched_insert=lambda source: {
                 name: source[name] for name in _SEG_WORK_COLUMNS},
         )
-        return result.affected
+        return self._seg_min()
 
     def seg_finish(self, lthd: float,
                    index_mode: str = IndexMode.CLUSTERED) -> int:
@@ -615,7 +638,6 @@ class MiniDBGraphStore(GraphStore):
               "cost": row["cost"]} for row in rows],
             lthd, index_mode)
         self.database.drop_table("TSegsWork")
-        self._seg_frontier = []
         return len(rows)
 
     def seg_rows(self) -> Tuple[List[Dict[str, object]],

@@ -31,26 +31,15 @@ from repro.faults.plan import FaultPlan
 STORE_STATEMENT_METHODS: Tuple[str, ...] = (
     "reset_visited",
     "insert_visited",
-    "top1_min_unfinalized",
-    "min_unfinalized_distance",
-    "count_unfinalized",
-    "min_total_cost",
-    "meeting_node",
-    "is_finalized",
+    "iterate",
+    "recover",
     "visited_count",
-    "visited_rows",
-    "finalize_node",
-    "select_frontier_set",
-    "finalize_frontier",
-    "expand",
-    "expand_hops",
-    "get_link",
-    "get_distance",
 )
-"""The per-query statement surface of :class:`~repro.core.store.base.GraphStore`
-— every call a FEM driver makes while a query is running.  Intercepting
-these is what makes ``drop_at(n)`` a *kill mid-FEM*: the Nth statement
-lands inside the iteration loop and the backend dies under the driver."""
+"""The per-query surface of :class:`~repro.core.store.base.GraphStore` —
+every call a FEM driver makes while a query is running, one per FEM
+iteration for ``iterate``.  Intercepting these is what makes
+``drop_at(n)`` a *kill mid-FEM*: the Nth store call lands inside the
+iteration loop and the backend dies under the driver."""
 
 _SAVED_ATTR = "__repro_fault_saved__"
 
@@ -80,9 +69,9 @@ def install_store_faults(store: object, plan: FaultPlan,
     """Arm ``plan`` on a :class:`GraphStore`'s statement surface.
 
     Fired error faults raise :class:`BackendConnectionError` — the exact
-    error a dropped database connection produces — from whichever
-    statement the plan lands on.  Context strings are ``store.<method>``,
-    so ``match="expand"`` kills specifically inside the E-step.
+    error a dropped database connection produces — from whichever store
+    call the plan lands on.  Context strings are ``store.<method>``, so
+    ``match="iterate"`` kills specifically inside a FEM iteration.
     """
     for name in methods:
         original = getattr(store, name, None)

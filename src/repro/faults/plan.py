@@ -88,8 +88,10 @@ class FaultSpec:
 
 def drop_at(op: int, match: Optional[str] = None) -> FaultSpec:
     """Drop the connection at exactly the ``op``-th intercepted
-    operation — the *kill mid-FEM* primitive: pick an ``op`` that lands
-    inside the iteration loop and the statement stream dies mid-query."""
+    operation — on a store, the Nth store call, and one ``iterate`` call
+    is one FEM iteration.  This is the *kill mid-FEM* primitive: pick an
+    ``op`` that lands inside the iteration loop and the query dies
+    mid-search."""
     return FaultSpec(kind=KIND_ERROR, at_op=op, match=match)
 
 

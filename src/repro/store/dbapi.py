@@ -55,16 +55,34 @@ from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple)
 from urllib.parse import parse_qs, urlencode, urlsplit, urlunsplit
 
-from repro.core.directions import Direction, INFINITY
+from repro.core.directions import Direction, FORWARD_DIRECTION, INFINITY
+from repro.core.path import linked_path
 from repro.core.sqlstyle import NSQL, validate_sql_style
-from repro.core.stats import OPERATOR_E, OPERATOR_F, OPERATOR_M
-from repro.core.store.base import GraphStore, IndexMode
+from repro.core.stats import (
+    OPERATOR_E,
+    OPERATOR_F,
+    OPERATOR_M,
+    PHASE_PATH_EXPANSION,
+    PHASE_PATH_RECOVERY,
+    PHASE_STATISTICS,
+)
+from repro.core.store.base import (
+    MODE_HOPS,
+    MODE_NODE,
+    PROBE_FINALIZED,
+    PROBE_MEET,
+    GraphStore,
+    IndexMode,
+    IterationRule,
+    Step,
+)
 from repro.core.store.registry import create_store, is_dsn, register_backend
 from repro.errors import (
     BackendConnectionError,
     BackendOperationalError,
     InvalidDSNError,
     InvalidQueryError,
+    PathNotFoundError,
     PersistenceUnsupportedError,
     StoreCloneUnsupportedError,
 )
@@ -141,13 +159,6 @@ class ParsedDSN:
         if self.pool_size is None:
             return None
         return self.pool_size + self.max_overflow
-
-    def with_table_prefix(self, prefix: str) -> str:
-        """This DSN with its ``table_prefix`` replaced by ``prefix``."""
-        parts = urlsplit(self.dsn)
-        query = parse_qs(parts.query, keep_blank_values=True)
-        query["table_prefix"] = [prefix]
-        return urlunsplit(parts._replace(query=urlencode(query, doseq=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -696,117 +707,141 @@ class DBAPIGraphStore(GraphStore):
             many=True,
         )
 
-    # ---------------------------------------------------- statistics statements
-
-    def top1_min_unfinalized(self, direction: Direction) -> Optional[int]:
-        sql = self._cached_sql(("top1", direction.is_forward), lambda: (
-            f"SELECT nid FROM tvisited WHERE {direction.flag_col} = 0 AND "
-            f"{direction.dist_col} < {self._p} "
-            f"ORDER BY {direction.dist_col} LIMIT 1"
-        ))
-        value = self._scalar(self._execute(sql, (_INF,)))
-        return None if value is None else int(value)
-
-    def min_unfinalized_distance(self, direction: Direction) -> Optional[float]:
-        sql = self._cached_sql(("min_unfin", direction.is_forward), lambda: (
-            f"SELECT min({direction.dist_col}) FROM tvisited "
-            f"WHERE {direction.flag_col} = 0"
-        ))
-        value = self._scalar(self._execute(sql))
-        if value is None or value >= _INF:
-            return None
-        return float(value)
-
-    def count_unfinalized(self, direction: Direction) -> int:
-        sql = self._cached_sql(("count_unfin", direction.is_forward), lambda: (
-            f"SELECT count(*) FROM tvisited WHERE {direction.flag_col} = 0 "
-            f"AND {direction.dist_col} < {self._p}"
-        ))
-        return int(self._scalar(self._execute(sql, (_INF,))))
-
-    def min_total_cost(self) -> float:
-        value = self._scalar(self._execute(
-            "SELECT min(d2s + d2t) FROM tvisited"))
-        return INFINITY if value is None else float(value)
-
-    def meeting_node(self, min_cost: float) -> Optional[int]:
-        sql = self._cached_sql(("meeting",), lambda: (
-            f"SELECT nid FROM tvisited "
-            f"WHERE abs(d2s + d2t - {self._p}) < 1e-9 LIMIT 1"
-        ))
-        value = self._scalar(self._execute(sql, (min_cost,)))
-        return None if value is None else int(value)
-
-    def is_finalized(self, nid: int, direction: Direction) -> bool:
-        sql = self._cached_sql(("is_final", direction.is_forward), lambda: (
-            f"SELECT 1 FROM tvisited WHERE nid = {self._p} AND "
-            f"{direction.flag_col} = 1"
-        ))
-        return self._execute(sql, (nid,)).fetchone() is not None
-
     def visited_count(self) -> int:
         return int(self._scalar(self._execute_unlogged(
             "SELECT count(*) FROM tvisited")))
 
-    def visited_rows(self) -> List[Dict[str, object]]:
-        columns = ["nid", "d2s", "p2s", "f", "d2t", "p2t", "b"]
-        rows = self._execute_unlogged(
-            "SELECT nid, d2s, p2s, f, d2t, p2t, b FROM tvisited").fetchall()
-        return [dict(zip(columns, row)) for row in rows]
+    # -------------------------------------------------------- one FEM iteration
 
-    # ---------------------------------------------------- F-operator statements
+    def iterate(self, direction: Direction, rule: IterationRule) -> Step:
+        stats, p = self.stats, self._p
+        dist, flag = direction.dist_col, direction.flag_col
+        forward = direction.is_forward
+        if rule.mode == MODE_NODE:
+            with stats.phase(PHASE_STATISTICS):
+                mid = self._scalar(self._execute(self._cached_sql(
+                    ("top1", forward), lambda: (
+                        f"SELECT nid FROM tvisited WHERE {flag} = 0 AND "
+                        f"{dist} < {p} ORDER BY {dist} LIMIT 1")), (_INF,)))
+            if mid is None:
+                return Step(selected=0)
+            mid = int(mid)
+            with stats.phase(PHASE_PATH_EXPANSION):
+                affected = self._expand(direction, rule, mid)
+                with stats.operator(OPERATOR_F):
+                    self._execute(self._cached_sql(
+                        ("final_node", forward), lambda: (
+                            f"UPDATE tvisited SET {flag} = 1 "
+                            f"WHERE nid = {p}")), (mid,))
+            selected = 1
+        else:
+            with stats.phase(PHASE_PATH_EXPANSION):
+                with stats.operator(OPERATOR_F):
+                    selected = max(0, self._execute(self._cached_sql(
+                        ("sel_frontier", forward), lambda: f"""
+                            UPDATE tvisited SET {flag} = 2
+                            WHERE {flag} = 0 AND {dist} < {p}
+                              AND ({dist} <= {p} OR {dist} = (
+                                    SELECT min(inner_v.{dist})
+                                    FROM tvisited inner_v
+                                    WHERE inner_v.{flag} = 0))
+                        """), (_INF, rule.threshold)).rowcount)
+                if not selected:
+                    return Step(selected=0)
+                if rule.mode == MODE_HOPS:
+                    affected = self._expand_hops(direction)
+                else:
+                    affected = self._expand(direction, rule)
+                with stats.operator(OPERATOR_F):
+                    self._execute(self._cached_sql(
+                        ("final_frontier", forward), lambda: (
+                            f"UPDATE tvisited SET {flag} = 1 "
+                            f"WHERE {flag} = 2")))
+        with stats.phase(PHASE_STATISTICS):
+            if rule.probe == PROBE_MEET:
+                latest = self._scalar(self._execute(self._cached_sql(
+                    ("min_unfin", forward), lambda: (
+                        f"SELECT min({dist}) FROM tvisited "
+                        f"WHERE {flag} = 0"))))
+                if latest is not None:
+                    latest = None if latest >= _INF else float(latest)
+                return Step(selected, affected, latest=latest,
+                            min_cost=self._min_cost())
+            if rule.probe == PROBE_FINALIZED:
+                done = self._execute(self._cached_sql(
+                    ("is_final", forward), lambda: (
+                        f"SELECT 1 FROM tvisited WHERE nid = {p} AND "
+                        f"{flag} = 1")), (rule.target,)).fetchone() is not None
+            else:
+                done = self._distance(rule.target, direction) is not None
+        return Step(selected, affected, done=done)
 
-    def finalize_node(self, nid: int, direction: Direction) -> None:
-        sql = self._cached_sql(("final_node", direction.is_forward), lambda: (
-            f"UPDATE tvisited SET {direction.flag_col} = 1 "
+    def _min_cost(self) -> float:
+        value = self._scalar(self._execute(
+            "SELECT min(d2s + d2t) FROM tvisited"))
+        return INFINITY if value is None else float(value)
+
+    def _distance(self, nid: int, direction: Direction) -> Optional[float]:
+        sql = self._cached_sql(("get_dist", direction.is_forward), lambda: (
+            f"SELECT {direction.dist_col} FROM tvisited "
             f"WHERE nid = {self._p}"
         ))
-        with self.stats.operator(OPERATOR_F):
-            self._execute(sql, (nid,))
+        row = self._execute(sql, (nid,)).fetchone()
+        if row is None or row[0] is None or row[0] >= _INF:
+            return None
+        return float(row[0])
 
-    def select_frontier_set(self, direction: Direction,
-                            max_distance: float) -> int:
-        def build() -> str:
-            dist, flag = direction.dist_col, direction.flag_col
-            p = self._p
-            return f"""
-                UPDATE tvisited SET {flag} = 2
-                WHERE {flag} = 0 AND {dist} < {p}
-                  AND ({dist} <= {p} OR {dist} = (
-                        SELECT min(inner_v.{dist}) FROM tvisited inner_v
-                        WHERE inner_v.{flag} = 0))
-            """
-        sql = self._cached_sql(("sel_frontier", direction.is_forward), build)
-        with self.stats.operator(OPERATOR_F):
-            cursor = self._execute(sql, (_INF, max_distance))
-            return max(0, cursor.rowcount)
+    def recover(self, source: int, target: int,
+                probe: str) -> Optional[Tuple[float, List[int]]]:
+        distance: Optional[float] = None
+        meeting = target
+        with self.stats.phase(PHASE_STATISTICS):
+            if probe == PROBE_MEET:
+                distance = self._min_cost()
+                if distance >= INFINITY:
+                    return None
+                meeting = self._scalar(self._execute(self._cached_sql(
+                    ("meeting",), lambda: (
+                        f"SELECT nid FROM tvisited "
+                        f"WHERE abs(d2s + d2t - {self._p}) < 1e-9 LIMIT 1")),
+                    (distance,)))
+                if meeting is None:
+                    raise PathNotFoundError(
+                        f"internal error: no meeting node for "
+                        f"minCost={distance}")
+            elif probe == PROBE_FINALIZED:
+                distance = self._distance(target, FORWARD_DIRECTION)
 
-    def finalize_frontier(self, direction: Direction) -> int:
-        sql = self._cached_sql(("final_frontier", direction.is_forward),
-                               lambda: (f"UPDATE tvisited SET "
-                                        f"{direction.flag_col} = 1 WHERE "
-                                        f"{direction.flag_col} = 2"))
-        with self.stats.operator(OPERATOR_F):
-            cursor = self._execute(sql)
-            return max(0, cursor.rowcount)
+        def link(nid: int, direction: Direction) -> Optional[int]:
+            row = self._execute(self._cached_sql(
+                ("get_link", direction.is_forward), lambda: (
+                    f"SELECT {direction.pred_col} FROM tvisited "
+                    f"WHERE nid = {self._p}")), (nid,)).fetchone()
+            return None if row is None or row[0] is None else int(row[0])
 
-    # ------------------------------------------------------------ E+M operators
+        with self.stats.phase(PHASE_PATH_RECOVERY):
+            path = linked_path(link, source, target, int(meeting),
+                               probe == PROBE_MEET,
+                               max(self.visited_count(), 1) + 1)
+        return (float(len(path) - 1) if distance is None else distance,
+                path)
 
-    def expand(self, direction: Direction, mid: Optional[int] = None,
-               use_segtable: bool = False,
-               prune_lb: Optional[float] = None,
-               prune_min_cost: Optional[float] = None) -> int:
+    def _expand(self, direction: Direction, rule: IterationRule,
+                mid: Optional[int] = None) -> int:
+        """The combined E- and M-operator for the node ``mid`` (Listing
+        2(3)) or for the flag-2 frontier (Listing 4(2))."""
+        use_segtable = rule.use_segtable
         if use_segtable and not self.has_segtable:
             raise InvalidQueryError(
                 "SegTable expansion requested but no SegTable loaded")
         node_mode = mid is not None
-        pruned = prune_lb is not None and prune_min_cost is not None
+        pruned = rule.prune_lb is not None and rule.prune_min_cost is not None
         parameters: List[object] = []
         if node_mode:
             parameters.append(mid)
         parameters.append(_INF)
         if pruned:
-            parameters.extend([prune_lb, prune_min_cost])
+            parameters.extend([rule.prune_lb, rule.prune_min_cost])
         style = validate_sql_style(self.sql_style)
         shape = (direction.is_forward, node_mode, use_segtable, pruned)
         if style == NSQL:
@@ -944,7 +979,7 @@ class DBAPIGraphStore(GraphStore):
             self._execute_unlogged("DROP TABLE IF EXISTS tmp_expanded")
         return updated + inserted
 
-    def expand_hops(self, direction: Direction) -> int:
+    def _expand_hops(self, direction: Direction) -> int:
         """Hop-counting E/M: insert-only frontier expansion, ties on the
         predecessor broken to ``min(frontier nid)`` so the recovered
         witness path is deterministic (and bit-identical to the embedded
@@ -975,35 +1010,13 @@ class DBAPIGraphStore(GraphStore):
         self.stats.affected_rows += affected
         return affected
 
-    # ------------------------------------------------------------ path recovery
-
-    def get_link(self, nid: int, direction: Direction) -> Optional[int]:
-        sql = self._cached_sql(("get_link", direction.is_forward), lambda: (
-            f"SELECT {direction.pred_col} FROM tvisited "
-            f"WHERE nid = {self._p}"
-        ))
-        row = self._execute(sql, (nid,)).fetchone()
-        if row is None or row[0] is None:
-            return None
-        return int(row[0])
-
-    def get_distance(self, nid: int, direction: Direction) -> Optional[float]:
-        sql = self._cached_sql(("get_dist", direction.is_forward), lambda: (
-            f"SELECT {direction.dist_col} FROM tvisited "
-            f"WHERE nid = {self._p}"
-        ))
-        row = self._execute(sql, (nid,)).fetchone()
-        if row is None or row[0] is None or row[0] >= _INF:
-            return None
-        return float(row[0])
-
     # --------------------------------------------------- SegTable construction
     #
     # Connection-private relations: ``tsegwork`` holds every segment found
     # so far, its unexpanded rows (``f = 0``) reached through the partial
     # index ``ix_tsegwork_open``; ``tsegfront`` holds the current frontier.
 
-    def seg_init(self) -> None:
+    def seg_init(self) -> Optional[float]:
         self._execute_unlogged("DROP TABLE IF EXISTS tsegwork")
         self._execute(
             f"""
@@ -1018,29 +1031,26 @@ class DBAPIGraphStore(GraphStore):
             "CREATE UNIQUE INDEX ix_tsegwork_pair ON tsegwork (fid, tid)")
         self._execute_unlogged(
             "CREATE INDEX ix_tsegwork_open ON tsegwork (cost) WHERE f = 0")
+        return self._seg_min()
 
-    def seg_min_unexpanded(self) -> Optional[float]:
+    def _seg_min(self) -> Optional[float]:
         value = self._scalar(self._execute(
             "SELECT min(cost) FROM tsegwork WHERE f = 0"))
         return None if value is None else float(value)
 
-    def seg_select_frontier(self, max_cost: float) -> int:
+    def seg_round(self, max_cost: float, lthd: float) -> Optional[float]:
+        p = self._p
         self._execute_unlogged("DROP TABLE IF EXISTS tsegfront")
         self._execute(
             f"""
             CREATE TEMP TABLE tsegfront AS
             SELECT fid, tid, sid, cost FROM tsegwork
-            WHERE f = 0 AND cost <= {self._p}
+            WHERE f = 0 AND cost <= {p}
             """,
             (max_cost,),
         )
-        cursor = self._execute(
-            f"UPDATE tsegwork SET f = 1 WHERE f = 0 AND cost <= {self._p}",
-            (max_cost,))
-        return max(0, cursor.rowcount)
-
-    def seg_expand(self, lthd: float) -> int:
-        p = self._p
+        self._execute(f"UPDATE tsegwork SET f = 1 WHERE f = 0 AND cost <= {p}",
+                      (max_cost,))
         candidate_sql = f"""
             SELECT s.fid AS fid, e.tid AS tid, s.tid AS pid, s.sid AS sid,
                    s.cost + e.cost AS cost
@@ -1049,7 +1059,7 @@ class DBAPIGraphStore(GraphStore):
               AND e.tid != s.fid
         """
         if validate_sql_style(self.sql_style) == NSQL:
-            cursor = self._execute(
+            self._execute(
                 f"""
                 INSERT INTO tsegwork (fid, tid, pid, sid, cost, f)
                 SELECT fid, tid, pid, sid, cost, 0 FROM (
@@ -1065,50 +1075,50 @@ class DBAPIGraphStore(GraphStore):
                 """,
                 (lthd,),
             )
-            return max(0, cursor.rowcount)
-        self._execute_unlogged("DROP TABLE IF EXISTS tmp_segcand")
-        self._execute(
-            f"""
-            CREATE TEMP TABLE tmp_segcand AS
-            SELECT cand.fid, cand.tid, min(cand.pid) AS pid,
-                   min(cand.sid) AS sid, cand.cost
-            FROM ({candidate_sql}) AS cand
-            JOIN (SELECT fid, tid, min(cost) AS mincost
-                  FROM ({candidate_sql}) AS inner_cand
-                  GROUP BY fid, tid) AS agg
-              ON cand.fid = agg.fid AND cand.tid = agg.tid
-                 AND cand.cost = agg.mincost
-            GROUP BY cand.fid, cand.tid, cand.cost
-            """,
-            (lthd, lthd),
-        )
-        self._execute_unlogged(
-            "CREATE INDEX ix_tmp_segcand_pair ON tmp_segcand (fid, tid)")
-        matched = ("FROM tmp_segcand t "
-                   "WHERE t.fid = tsegwork.fid AND t.tid = tsegwork.tid")
-        updated = max(0, self._execute(
-            f"""
-            UPDATE tsegwork SET
-                cost = (SELECT t.cost {matched}),
-                pid = (SELECT t.pid {matched}),
-                sid = (SELECT t.sid {matched}),
-                f = 0
-            WHERE (fid, tid) IN (
-                SELECT t.fid, t.tid FROM tmp_segcand t
-                WHERE t.cost < (SELECT w.cost FROM tsegwork w
-                                WHERE w.fid = t.fid AND w.tid = t.tid))
-            """
-        ).rowcount)
-        inserted = max(0, self._execute(
-            """
-            INSERT INTO tsegwork (fid, tid, pid, sid, cost, f)
-            SELECT fid, tid, pid, sid, cost, 0 FROM tmp_segcand t
-            WHERE NOT EXISTS (SELECT 1 FROM tsegwork w
-                              WHERE w.fid = t.fid AND w.tid = t.tid)
-            """
-        ).rowcount)
-        self._execute_unlogged("DROP TABLE IF EXISTS tmp_segcand")
-        return updated + inserted
+        else:
+            self._execute_unlogged("DROP TABLE IF EXISTS tmp_segcand")
+            self._execute(
+                f"""
+                CREATE TEMP TABLE tmp_segcand AS
+                SELECT cand.fid, cand.tid, min(cand.pid) AS pid,
+                       min(cand.sid) AS sid, cand.cost
+                FROM ({candidate_sql}) AS cand
+                JOIN (SELECT fid, tid, min(cost) AS mincost
+                      FROM ({candidate_sql}) AS inner_cand
+                      GROUP BY fid, tid) AS agg
+                  ON cand.fid = agg.fid AND cand.tid = agg.tid
+                     AND cand.cost = agg.mincost
+                GROUP BY cand.fid, cand.tid, cand.cost
+                """,
+                (lthd, lthd),
+            )
+            self._execute_unlogged(
+                "CREATE INDEX ix_tmp_segcand_pair ON tmp_segcand (fid, tid)")
+            matched = ("FROM tmp_segcand t "
+                       "WHERE t.fid = tsegwork.fid AND t.tid = tsegwork.tid")
+            self._execute(
+                f"""
+                UPDATE tsegwork SET
+                    cost = (SELECT t.cost {matched}),
+                    pid = (SELECT t.pid {matched}),
+                    sid = (SELECT t.sid {matched}),
+                    f = 0
+                WHERE (fid, tid) IN (
+                    SELECT t.fid, t.tid FROM tmp_segcand t
+                    WHERE t.cost < (SELECT w.cost FROM tsegwork w
+                                    WHERE w.fid = t.fid AND w.tid = t.tid))
+                """
+            )
+            self._execute(
+                """
+                INSERT INTO tsegwork (fid, tid, pid, sid, cost, f)
+                SELECT fid, tid, pid, sid, cost, 0 FROM tmp_segcand t
+                WHERE NOT EXISTS (SELECT 1 FROM tsegwork w
+                                  WHERE w.fid = t.fid AND w.tid = t.tid)
+                """
+            )
+            self._execute_unlogged("DROP TABLE IF EXISTS tmp_segcand")
+        return self._seg_min()
 
     def seg_finish(self, lthd: float,
                    index_mode: str = IndexMode.CLUSTERED) -> int:

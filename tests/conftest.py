@@ -15,10 +15,12 @@ import os
 import random
 import uuid
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 import pytest
 
+from repro.core.store.base import GraphStore
+from repro.core.store.minidb import MiniDBGraphStore
 from repro.graph.generators import grid_graph, path_graph, power_law_graph, random_graph
 from repro.graph.model import Graph
 
@@ -135,3 +137,15 @@ def small_random_graph() -> Graph:
 def query_rng() -> random.Random:
     """Deterministic RNG for sampling query endpoints in tests."""
     return random.Random(42)
+
+
+VISITED_COLUMNS = ("nid", "d2s", "p2s", "f", "d2t", "p2t", "b")
+
+
+def visited_rows(store: GraphStore) -> List[Dict[str, object]]:
+    """Materialize a store's ``TVisited`` for assertions."""
+    if isinstance(store, MiniDBGraphStore):
+        return list(store.visited.scan())
+    rows = store._execute_unlogged(
+        f"SELECT {', '.join(VISITED_COLUMNS)} FROM tvisited").fetchall()
+    return [dict(zip(VISITED_COLUMNS, row)) for row in rows]

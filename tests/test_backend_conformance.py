@@ -23,11 +23,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
+from conftest import visited_rows
 from repro.core.directions import FORWARD_DIRECTION
 from repro.core.multi import hop_limited_search
 from repro.core.segtable import build_segtable
 from repro.core.stats import QueryStats
-from repro.core.store.base import GraphStore
+from repro.core.store.base import (
+    MODE_NODE,
+    PROBE_FINALIZED,
+    GraphStore,
+    IterationRule,
+)
 from repro.core.store.registry import available_backends, create_store
 from repro.errors import PathNotFoundError
 from repro.graph.fingerprint import fingerprint_graph
@@ -165,14 +171,15 @@ class TestCapabilitySurface:
         store.reset_visited()
         store.insert_visited([{"nid": 1, "d2s": 0.0, "p2s": 1, "f": 0}])
         assert store.visited_count() == 1
-        assert store.top1_min_unfinalized(FORWARD_DIRECTION) == 1
-        affected = store.expand(FORWARD_DIRECTION, mid=1)
-        assert affected == 2  # nodes 2 and 3 discovered
-        rows = {row["nid"]: row for row in store.visited_rows()}
+        step = store.iterate(FORWARD_DIRECTION, IterationRule(
+            mode=MODE_NODE, probe=PROBE_FINALIZED, target=1))
+        assert step.selected == 1  # TOP 1 is node 1
+        assert step.affected == 2  # nodes 2 and 3 discovered
+        assert step.done  # node 1 is finalized
+        rows = {row["nid"]: row for row in visited_rows(store)}
         assert rows[2]["d2s"] == 4.0
         assert rows[3]["d2s"] == 1.0
-        store.finalize_node(1, FORWARD_DIRECTION)
-        assert store.is_finalized(1, FORWARD_DIRECTION)
+        assert store.recover(1, 3, PROBE_FINALIZED) == (1.0, [1, 3])
 
 
 EXACT_COUNTS_PATH = Path(__file__).with_name("exact_counts.json")

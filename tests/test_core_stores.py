@@ -1,14 +1,24 @@
 """Unit tests for the graph stores (minidb and SQLite backends).
 
-These exercise the store-level statements in isolation: loading, the F/E/M
-statement methods, statistics statements, and the SegTable tables.
+These exercise the store contract in isolation: loading, one FEM
+iteration (``iterate``) in node, set and SegTable modes with each probe,
+path recovery (``recover``), a SegTable construction round
+(``seg_round``) and the SegTable tables.
 """
 
 import pytest
 
+from conftest import visited_rows
 from repro.core.directions import BACKWARD_DIRECTION, FORWARD_DIRECTION, INFINITY
 from repro.core.stats import QueryStats
-from repro.core.store.base import IndexMode
+from repro.core.store.base import (
+    MODE_NODE,
+    MODE_SET,
+    PROBE_FINALIZED,
+    PROBE_MEET,
+    IndexMode,
+    IterationRule,
+)
 from repro.core.store.minidb import MiniDBGraphStore
 from repro.core.store.sqlite import SQLiteGraphStore
 from repro.errors import InvalidQueryError
@@ -32,6 +42,13 @@ def make_store(backend: str):
     return store
 
 
+def rows_by_nid(store):
+    return {row["nid"]: row for row in visited_rows(store)}
+
+
+NODE = IterationRule(mode=MODE_NODE, probe=PROBE_MEET)
+SET = IterationRule(mode=MODE_SET, probe=PROBE_MEET)
+
 BACKENDS = ["minidb", "sqlite"]
 
 
@@ -47,7 +64,7 @@ class TestStoreBasics:
         store = make_store(backend)
         store.reset_visited()
         store.insert_visited([{"nid": 1, "d2s": 0.0, "p2s": 1, "f": 0}])
-        rows = store.visited_rows()
+        rows = visited_rows(store)
         assert len(rows) == 1
         assert rows[0]["nid"] == 1
         assert rows[0]["d2s"] == 0.0
@@ -64,26 +81,37 @@ class TestStoreBasics:
                 {"nid": 3, "d2s": 1.0, "f": 1},
             ]
         )
-        assert store.top1_min_unfinalized(FORWARD_DIRECTION) == 2
-        assert store.min_unfinalized_distance(FORWARD_DIRECTION) == 2.0
-        assert store.count_unfinalized(FORWARD_DIRECTION) == 2
+        step = store.iterate(FORWARD_DIRECTION, NODE)
+        rows = rows_by_nid(store)
+        # TOP 1 picks node 2, the least unfinalized distance, and
+        # finalizes it after expanding it to node 4.
+        assert step.selected == 1
+        assert (rows[1]["f"], rows[2]["f"]) == (0, 1)
+        assert (rows[4]["d2s"], rows[4]["p2s"]) == (4.0, 2)
+        # The probe's least unfinalized distance: node 4 before node 1.
+        assert step.latest == 4.0
         store.close()
 
     def test_no_candidates_returns_none(self, backend):
         store = make_store(backend)
         store.reset_visited()
         store.insert_visited([{"nid": 1, "d2s": 5.0, "f": 1}])
-        assert store.top1_min_unfinalized(FORWARD_DIRECTION) is None
-        assert store.min_unfinalized_distance(FORWARD_DIRECTION) is None
+        for rule in (NODE, SET):
+            step = store.iterate(FORWARD_DIRECTION, rule)
+            assert step.selected == 0
+            assert step.latest is None
         store.close()
 
     def test_finalize_node_and_is_finalized(self, backend):
         store = make_store(backend)
         store.reset_visited()
         store.insert_visited([{"nid": 1, "d2s": 0.0, "f": 0}])
-        assert not store.is_finalized(1, FORWARD_DIRECTION)
-        store.finalize_node(1, FORWARD_DIRECTION)
-        assert store.is_finalized(1, FORWARD_DIRECTION)
+        rule = IterationRule(mode=MODE_NODE, probe=PROBE_FINALIZED, target=3)
+        # Node 1 is finalized; node 3 is reached but not yet finalized.
+        assert not store.iterate(FORWARD_DIRECTION, rule).done
+        assert rows_by_nid(store)[1]["f"] == 1
+        # Node 3 is the next TOP 1.
+        assert store.iterate(FORWARD_DIRECTION, rule).done
         store.close()
 
     def test_min_total_cost_and_meeting_node(self, backend):
@@ -91,19 +119,21 @@ class TestStoreBasics:
         store.reset_visited()
         store.insert_visited(
             [
-                {"nid": 1, "d2s": 1.0, "d2t": 9.0, "f": 0, "b": 0},
-                {"nid": 2, "d2s": 3.0, "d2t": 2.0, "f": 0, "b": 0},
+                {"nid": 1, "d2s": 0.0, "p2s": 1, "d2t": 7.0, "p2t": 2},
+                {"nid": 2, "d2s": 3.0, "p2s": 1, "d2t": 2.0, "p2t": 4},
+                {"nid": 4, "d2t": 0.0, "p2t": 4},
             ]
         )
-        assert store.min_total_cost() == 5.0
-        assert store.meeting_node(5.0) == 2
+        # minCost 5 meets at node 2: p2s back to 1, p2t on to 4.
+        assert store.recover(1, 4, PROBE_MEET) == (5.0, [1, 2, 4])
         store.close()
 
     def test_min_total_cost_without_meeting(self, backend):
         store = make_store(backend)
         store.reset_visited()
-        store.insert_visited([{"nid": 1, "d2s": 1.0, "f": 0}])
-        assert store.min_total_cost() == INFINITY
+        store.insert_visited([{"nid": 1, "d2s": 0.0, "p2s": 1, "f": 0}])
+        assert store.iterate(FORWARD_DIRECTION, NODE).min_cost == INFINITY
+        assert store.recover(1, 4, PROBE_MEET) is None
         store.close()
 
 
@@ -115,9 +145,9 @@ class TestStoreExpansion:
         store.begin_query(QueryStats(), sql_style)
         store.reset_visited()
         store.insert_visited([{"nid": 1, "d2s": 0.0, "p2s": 1, "f": 0}])
-        affected = store.expand(FORWARD_DIRECTION, mid=1)
-        assert affected == 2  # nodes 2 and 3 discovered
-        rows = {row["nid"]: row for row in store.visited_rows()}
+        step = store.iterate(FORWARD_DIRECTION, NODE)
+        assert step.affected == 2  # nodes 2 and 3 discovered
+        rows = rows_by_nid(store)
         assert rows[2]["d2s"] == 4.0
         assert rows[3]["d2s"] == 1.0
         store.close()
@@ -132,9 +162,10 @@ class TestStoreExpansion:
                 {"nid": 2, "d2s": 4.0, "p2s": 1, "f": 0},
             ]
         )
-        affected = store.expand(FORWARD_DIRECTION, mid=3)
-        assert affected >= 1
-        rows = {row["nid"]: row for row in store.visited_rows()}
+        # TOP 1 is node 3, whose edge improves node 2.
+        step = store.iterate(FORWARD_DIRECTION, NODE)
+        assert step.affected >= 1
+        rows = rows_by_nid(store)
         assert rows[2]["d2s"] == 2.0
         assert rows[2]["p2s"] == 3
         store.close()
@@ -144,12 +175,11 @@ class TestStoreExpansion:
         store.begin_query(QueryStats(), sql_style)
         store.reset_visited()
         store.insert_visited([{"nid": 1, "d2s": 0.0, "p2s": 1, "f": 0}])
-        selected = store.select_frontier_set(FORWARD_DIRECTION, float("-inf"))
-        assert selected == 1
-        affected = store.expand(FORWARD_DIRECTION)
-        assert affected == 2
-        finalized = store.finalize_frontier(FORWARD_DIRECTION)
-        assert finalized == 1
+        step = store.iterate(FORWARD_DIRECTION, SET)
+        assert step.selected == 1
+        assert step.affected == 2
+        flags = {nid: row["f"] for nid, row in rows_by_nid(store).items()}
+        assert flags == {1: 1, 2: 0, 3: 0}  # the frontier was finalized
         store.close()
 
     def test_backward_expansion_uses_incoming_edges(self, backend, sql_style):
@@ -157,9 +187,9 @@ class TestStoreExpansion:
         store.begin_query(QueryStats(), sql_style)
         store.reset_visited()
         store.insert_visited([{"nid": 4, "d2t": 0.0, "p2t": 4, "b": 0}])
-        affected = store.expand(BACKWARD_DIRECTION, mid=4)
-        assert affected == 2  # nodes 2 and 3 reach node 4
-        rows = {row["nid"]: row for row in store.visited_rows()}
+        step = store.iterate(BACKWARD_DIRECTION, NODE)
+        assert step.affected == 2  # nodes 2 and 3 reach node 4
+        rows = rows_by_nid(store)
         assert rows[2]["d2t"] == 2.0
         assert rows[2]["p2t"] == 4
         assert rows[3]["d2t"] == 6.0
@@ -171,11 +201,11 @@ class TestStoreExpansion:
         store.reset_visited()
         store.insert_visited([{"nid": 1, "d2s": 0.0, "p2s": 1, "f": 0}])
         # With minCost = 2 and lb = 0 only candidates of cost <= 2 survive.
-        affected = store.expand(FORWARD_DIRECTION, mid=1, prune_lb=0.0,
-                                prune_min_cost=2.0)
-        rows = {row["nid"] for row in store.visited_rows()}
-        assert affected == 1
-        assert rows == {1, 3}
+        rule = IterationRule(mode=MODE_NODE, probe=PROBE_MEET, prune_lb=0.0,
+                             prune_min_cost=2.0)
+        step = store.iterate(FORWARD_DIRECTION, rule)
+        assert step.affected == 1
+        assert set(rows_by_nid(store)) == {1, 3}
         store.close()
 
 
@@ -185,8 +215,10 @@ class TestStoreSegTable:
         store = make_store(backend)
         store.reset_visited()
         store.insert_visited([{"nid": 1, "d2s": 0.0, "f": 0}])
+        rule = IterationRule(mode=MODE_NODE, probe=PROBE_MEET,
+                             use_segtable=True)
         with pytest.raises(InvalidQueryError):
-            store.expand(FORWARD_DIRECTION, mid=1, use_segtable=True)
+            store.iterate(FORWARD_DIRECTION, rule)
         store.close()
 
     def test_load_segtable_and_counts(self, backend):
@@ -209,10 +241,20 @@ class TestStoreSegTable:
         store.begin_query(QueryStats(), "nsql")
         store.reset_visited()
         store.insert_visited([{"nid": 1, "d2s": 0.0, "p2s": 1, "f": 0}])
-        store.expand(FORWARD_DIRECTION, mid=1, use_segtable=True)
-        rows = {row["nid"]: row for row in store.visited_rows()}
+        store.iterate(FORWARD_DIRECTION,
+                      IterationRule(mode=MODE_NODE, probe=PROBE_MEET,
+                                    use_segtable=True))
+        rows = rows_by_nid(store)
         assert rows[4]["d2s"] == 6.0
         assert rows[4]["p2s"] == 2
+        store.close()
+
+    def test_seg_round_returns_next_minimum(self, backend):
+        store = make_store(backend)
+        assert store.seg_init() == 1.0
+        # Round one extends 1->3 and 3->2; the cheapest unexpanded
+        # segments left cost 2 (1->3->2 and 2->4).
+        assert store.seg_round(1.0, 3.0) == 2.0
         store.close()
 
     def test_statement_counting(self, backend):
@@ -221,9 +263,9 @@ class TestStoreSegTable:
         store.begin_query(stats, "nsql")
         store.reset_visited()
         store.insert_visited([{"nid": 1, "d2s": 0.0, "f": 0}])
-        store.top1_min_unfinalized(FORWARD_DIRECTION)
-        store.expand(FORWARD_DIRECTION, mid=1)
-        assert stats.statements >= 3
+        store.iterate(FORWARD_DIRECTION, NODE)
+        # INSERT, then TOP 1, E+M, finalize and the two probes.
+        assert stats.statements == 6
         store.close()
 
 
@@ -236,8 +278,7 @@ class TestIndexModes:
         store.begin_query(QueryStats(), "nsql")
         store.reset_visited()
         store.insert_visited([{"nid": 1, "d2s": 0.0, "p2s": 1, "f": 0}])
-        affected = store.expand(FORWARD_DIRECTION, mid=1)
-        assert affected == 2
+        assert store.iterate(FORWARD_DIRECTION, NODE).affected == 2
         store.close()
 
     def test_invalid_index_mode(self):

@@ -74,12 +74,12 @@ class TestFaultPlan:
         assert schedule(5) != schedule(6)
 
     def test_at_op_counts_eligible_ops_only(self):
-        plan = FaultPlan([drop_at(1, match="expand")], seed=0)
+        plan = FaultPlan([drop_at(1, match="iterate")], seed=0)
         assert plan.before("store.reset_visited") is None
         assert plan.before("store.insert_visited") is None
-        fired = plan.before("store.expand")
+        fired = plan.before("store.iterate")
         assert fired is not None and fired.kind == KIND_ERROR
-        assert plan.before("store.expand") is None, "at_op fires once"
+        assert plan.before("store.iterate") is None, "at_op fires once"
 
     def test_times_bounds_firing_then_recovers(self):
         plan = FaultPlan([flaky(2)], seed=0)
@@ -114,7 +114,9 @@ class TestStoreSeam:
             service.add_graph("g", GRAPH, backend=test_backend.name,
                               db_path=test_backend.make_path())
             store = service.store("g")
-            install_store_faults(store, FaultPlan([drop_at(7)], seed=0))
+            # Calls 1 and 2 set TVisited up; call 4 is the second FEM
+            # iteration.
+            install_store_faults(store, FaultPlan([drop_at(4)], seed=0))
             with pytest.raises(BackendConnectionError, match="injected"):
                 service.shortest_path(0, 23, graph="g")
             uninstall_faults(store)
@@ -128,8 +130,8 @@ class TestStoreSeam:
                               db_path=test_backend.make_path())
             store = service.store("g")
             install_store_faults(
-                store, FaultPlan([drop_at(1, match="expand")], seed=0))
-            with pytest.raises(BackendConnectionError, match="expand"):
+                store, FaultPlan([drop_at(1, match="iterate")], seed=0))
+            with pytest.raises(BackendConnectionError, match="iterate"):
                 service.shortest_path(0, 23, graph="g")
 
     def test_flaky_store_recovers(self, test_backend):

@@ -75,12 +75,6 @@ class TestParsedDSN:
         assert "pool_size" not in parsed.driver_dsn
         assert "sslmode=require" in parsed.driver_dsn
 
-    def test_with_table_prefix_replaces_only_that_param(self):
-        parsed = ParsedDSN("fallback://h:1/?table_prefix=a_&pool_size=2")
-        replaced = ParsedDSN(parsed.with_table_prefix("b_"))
-        assert replaced.table_prefix == "b_"
-        assert replaced.pool_size == 2
-
     @pytest.mark.parametrize("dsn", [
         "not-a-dsn",
         "",
@@ -237,7 +231,7 @@ class TestStoreBehavior:
                                        "f": 0}])
                 assert store.visited_count() == 1
                 # Shared graph tables are visible to both handles.
-                assert clone.expand_hops is not None
+                assert clone.iterate is not None
                 assert clone.content_fingerprint() == \
                     store.content_fingerprint()
             finally:
@@ -420,8 +414,7 @@ class TestConstructionPlans:
             store.close()
 
         reading = {name for name, _, steps in planned if steps}
-        assert {"seg_min_unexpanded", "seg_select_frontier",
-                "seg_expand"} <= reading
+        assert {"seg_init", "seg_round"} <= reading
         scans = {" ".join(sql.split()): step
                  for name, sql, steps in planned if name != "seg_finish"
                  for step in steps
