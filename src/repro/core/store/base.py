@@ -47,7 +47,10 @@ MODE_SET = "set"
 """F marks every candidate within the rule's threshold, and always the
 least-distance ones (BSDJ, BBFS, BSEG)."""
 MODE_HOPS = "hops"
-"""Set mode with the insert-only, unit-weight expansion (HOPS, REACH)."""
+"""Set mode with the insert-only, unit-weight expansion (HOPS, REACH): a
+new node enters ``TVisited`` at its frontier's distance + 1 with the
+smallest frontier ``nid`` as its predecessor and is never updated, so the
+witness path is the same on every backend."""
 
 PROBE_MEET = "meet"
 """Read the direction's least unfinalized distance and ``minCost``
